@@ -146,7 +146,7 @@ func TestDifferentialAllMethods(t *testing.T) {
 						}
 						for qi, q := range buffer {
 							want := refFor(gi, gc.g, k, q.Source)
-							got := res.Values[qi]
+							got := res.Values(qi)
 							if len(got) != len(want) {
 								t.Fatalf("query %d (source v%d): %d values, want %d [case seed %d, %s]",
 									qi, q.Source, len(got), len(want), seed, ctx)
@@ -235,7 +235,7 @@ func TestDifferentialConvergenceKernels(t *testing.T) {
 						}
 						for qi, q := range buffer {
 							want := refFor(gi, gc.g, q)
-							got := res.Values[qi]
+							got := res.Values(qi)
 							if len(got) != len(want) {
 								t.Fatalf("query %d: %d values, want %d [case seed %d, %s]",
 									qi, len(got), len(want), seed, ctx)
@@ -291,7 +291,7 @@ func TestDifferentialDirectionOptimized(t *testing.T) {
 				}
 				for qi, q := range buffer {
 					want := engine.ReferenceRun(g, q)
-					got := res.Values[qi]
+					got := res.Values(qi)
 					for v := range want {
 						if got[v] != want[v] {
 							t.Fatalf("query %d (source v%d) disagrees at vertex %d: %v != %v [case seed %d, %s]",

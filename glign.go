@@ -350,12 +350,14 @@ func (rep *Report) Verify(sample int) error {
 // Method returns the runtime's evaluation method.
 func (r *Runtime) Method() string { return r.method }
 
-// Values returns the result vector of the i-th query of the buffer: one
-// Value per vertex (the kernel's identity where unreached).
-func (rep *Report) Values(i int) []Value { return rep.res.Values[i] }
+// Values returns a fresh copy of the result vector of the i-th query of the
+// buffer: one Value per vertex (the kernel's identity where unreached).
+// Mutating it does not change the report.
+func (rep *Report) Values(i int) []Value { return rep.res.Values(i) }
 
-// Value returns the result of query i at vertex v.
-func (rep *Report) Value(i int, v VertexID) Value { return rep.res.Values[i][v] }
+// Value returns the result of query i at vertex v, read in place without
+// allocating.
+func (rep *Report) Value(i int, v VertexID) Value { return rep.res.Value(i, v) }
 
 // NumQueries returns the buffer size.
 func (rep *Report) NumQueries() int { return len(rep.buffer) }
@@ -392,11 +394,10 @@ func (rep *Report) LatencySeconds(i int) float64 {
 
 // Reached reports how many vertices query i reached.
 func (rep *Report) Reached(i int) int {
-	vals := rep.res.Values[i]
 	id := rep.buffer[i].Kernel.Identity()
 	count := 0
-	for _, v := range vals {
-		if v != id {
+	for v := 0; v < rep.n; v++ {
+		if rep.res.Value(i, VertexID(v)) != id {
 			count++
 		}
 	}

@@ -46,6 +46,38 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestReportValuesIsACopy pins that Report reads results in place but hands
+// out copies: mutating a Values slice changes neither Value nor a second
+// Values call, and Value and Reached read without allocating.
+func TestReportValuesIsACopy(t *testing.T) {
+	g := PaperExampleGraph()
+	rt, err := NewRuntime(g, WithBatchSize(2), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := rt.Run([]Query{{Kernel: SSSP, Source: 0}, {Kernel: BFS, Source: 0}, {Kernel: SSSP, Source: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rep.NumQueries(); i++ {
+		first := rep.Values(i)
+		want := append([]Value(nil), first...)
+		for v := range first {
+			first[v] = -1
+		}
+		second := rep.Values(i)
+		for v := range want {
+			if rep.Value(i, VertexID(v)) != want[v] || second[v] != want[v] {
+				t.Fatalf("query %d v%d: after mutating a copy, Value %v and Values %v, want %v",
+					i, v, rep.Value(i, VertexID(v)), second[v], want[v])
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { _ = rep.Value(2, 3) + Value(rep.Reached(1)) }); a != 0 {
+		t.Fatalf("Value and Reached allocate %.0f times per call, want 0", a)
+	}
+}
+
 func TestAllMethodsViaFacade(t *testing.T) {
 	g, err := Generate("LJ", "tiny")
 	if err != nil {

@@ -26,12 +26,19 @@ import (
 // multiple of 8 cells = 64 bytes): lanes never share a line, and per-lane
 // passes become unit-stride. Engines address cells through BatchSetup.Cell /
 // the VStride+LaneOff pair, so both layouts run through identical code.
+//
+// Which layout LayoutAuto means is the engine's choice, by its access
+// pattern: Glign-Intra's push and pull loops visit every lane of an active
+// vertex together and resolve it to interleaved; the per-lane engines
+// (Ligra-C and the other two-level engines, Ligra-S, Krill, the baselines
+// and the Jacobi path) resolve it to padded.
 type ValueLayout int
 
 const (
-	// LayoutAuto picks padded, except under a memtrace.Tracer where the
-	// simulated address stream must stay faithful to the paper's interleaved
-	// model (tracing already forces workers=1, so false sharing is moot).
+	// LayoutAuto lets the engine pick (see ValueLayout). Under a
+	// memtrace.Tracer it is always interleaved, so the simulated address
+	// stream stays faithful to the paper's model (tracing already forces
+	// workers=1, so false sharing is moot).
 	LayoutAuto ValueLayout = iota
 	// LayoutInterleaved is the paper's §3.5 layout: cell(v, i) = v*B+i.
 	LayoutInterleaved
@@ -104,8 +111,9 @@ type Options struct {
 	// the default — makes every hook a no-op nil-receiver call.
 	Telemetry *telemetry.BatchTrace
 	// Layout selects the value-array arrangement (see ValueLayout). The
-	// zero value LayoutAuto resolves to padded, or interleaved under a
-	// Tracer.
+	// zero value LayoutAuto resolves to the engine's own choice —
+	// interleaved for Glign-Intra, padded for the per-lane engines — and to
+	// interleaved under a Tracer.
 	Layout ValueLayout
 }
 

@@ -12,9 +12,11 @@
 //     for all queries in the batch. Dense iterations switch to pull mode
 //     over the reversed graph (the direction optimization, §3.5).
 //
-// All engines share the batch value layout of paper §3.5: one flat array
-// with the value of vertex v for query i at ValArray[v*B+i], and all honor
-// an optional alignment vector (paper Definition 3.3) that delays the start
+// All engines keep a batch in one flat value array whose layout each engine
+// picks by its access pattern (see ValueLayout): Glign-Intra uses the paper's
+// §3.5 layout, the value of vertex v for query i at ValArray[v*B+i]; the
+// per-lane engines give each query a padded segment. All honor an optional
+// alignment vector (paper Definition 3.3) that delays the start
 // of individual queries to later global iterations — the mechanism of
 // Glign-Inter's "delayed start".
 //

@@ -24,9 +24,10 @@ import (
 // access stream keeps modelling the paper's push design.
 
 // pullIteration runs one dense global iteration: for every vertex, pull
-// from active in-neighbors across every lane. Returns the next frontier.
+// from active in-neighbors across every lane. It adds the improved vertices
+// to next, which the caller hands in empty.
 func pullIteration(rev *graph.Graph, st *BatchSetup, kinds []queries.OpKind,
-	cur *frontier.Subset, pool *par.Pool, workers int, res *BatchResult) *frontier.Subset {
+	cur, next *frontier.Subset, pool *par.Pool, workers int, res *BatchResult) {
 	n, b := st.N, st.B
 	// Homogeneous batches get the fused per-kind loop, as in push mode.
 	homo := kinds[0]
@@ -36,7 +37,6 @@ func pullIteration(rev *graph.Graph, st *BatchSetup, kinds []queries.OpKind,
 			break
 		}
 	}
-	next := frontier.New(n)
 	pool.For(n, workers, 0, func(lo, hi int) {
 		var edges, relaxes, writes int64
 		for d := lo; d < hi; d++ {
@@ -65,7 +65,6 @@ func pullIteration(rev *graph.Graph, st *BatchSetup, kinds []queries.OpKind,
 		atomic.AddInt64(&res.LaneRelaxations, relaxes)
 		atomic.AddInt64(&res.ValueWrites, writes)
 	})
-	return next
 }
 
 // pullEdge relaxes every lane of one in-edge with the fused fast paths; it

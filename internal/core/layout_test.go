@@ -71,6 +71,37 @@ func TestTracerForcesInterleavedLayout(t *testing.T) {
 	}
 }
 
+// TestEngineLayoutResolution pins which layout LayoutAuto means per engine
+// on an untraced run: Glign-Intra (push and pull alike) relaxes every lane of
+// a vertex together and takes the interleaved layout; Ligra-C's per-lane
+// loops take padded.
+func TestEngineLayoutResolution(t *testing.T) {
+	g := graph.MustGenerate(graph.LJ, graph.Tiny)
+	batch := []queries.Query{{Kernel: queries.BFS, Source: 1}, {Kernel: queries.SSSP, Source: 2}, {Kernel: queries.BFS, Source: 4}}
+	for _, opt := range []Options{{Workers: 2}, {Workers: 2, ReverseGraph: g.Reverse()}} {
+		res, err := GlignIntra.Run(g, batch, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.VStride != len(batch) {
+			t.Fatalf("Glign-Intra (pull graph %v) resolved vstride %d, want interleaved %d",
+				opt.ReverseGraph != nil, res.VStride, len(batch))
+		}
+		for i, off := range res.LaneOff {
+			if off != i {
+				t.Fatalf("Glign-Intra: LaneOff[%d]=%d, want interleaved %d", i, off, i)
+			}
+		}
+	}
+	res, err := LigraC.Run(g, batch, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.VStride != 1 || res.LaneOff[1] != laneStrideFor(g.NumVertices()) {
+		t.Fatalf("Ligra-C resolved vstride %d, LaneOff %v; want padded", res.VStride, res.LaneOff)
+	}
+}
+
 // TestLayoutEquivalenceAcrossEngines pins bitwise-equal results between the
 // padded and interleaved layouts for every concurrent engine, on monotone and
 // iterate-to-convergence batches.
@@ -119,7 +150,9 @@ func TestLayoutEquivalenceAcrossEngines(t *testing.T) {
 // TestPaddedLayoutStress is the race-detector stress for the padded per-lane
 // layout: an 8-lane batch hammered concurrently by all CAS engines across
 // GOMAXPROCS 1, 2 and 8, every run checked bitwise against the serial
-// interleaved reference. verify.sh runs this package under -race.
+// interleaved reference. Glign-Intra also runs with its default
+// (interleaved) layout at workers 2 and 8, push-only and with pull
+// iterations. verify.sh runs this package under -race.
 func TestPaddedLayoutStress(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
 	batch := []queries.Query{
@@ -140,35 +173,47 @@ func TestPaddedLayoutStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	engines := []Engine{GlignIntra, LigraC, Krill}
+	type stressRun struct {
+		e   Engine
+		opt Options
+	}
+	var runs []stressRun
+	for rep := 0; rep < 3; rep++ {
+		for _, e := range []Engine{GlignIntra, LigraC, Krill} {
+			runs = append(runs, stressRun{e, Options{Workers: 2 + rep, Layout: LayoutPadded}})
+		}
+	}
+	rev := g.Reverse()
+	for _, w := range []int{2, 8} {
+		runs = append(runs, stressRun{GlignIntra, Options{Workers: w}},
+			stressRun{GlignIntra, Options{Workers: w, ReverseGraph: rev}})
+	}
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(prev)
 
 			var wg sync.WaitGroup
-			for rep := 0; rep < 3; rep++ {
-				for _, e := range engines {
-					wg.Add(1)
-					go func(e Engine, rep int) {
-						defer wg.Done()
-						res, err := e.Run(g, batch, Options{Workers: 2 + rep, Layout: LayoutPadded})
-						if err != nil {
-							t.Errorf("%s: %v", e.Name(), err)
-							return
-						}
-						for qi := range batch {
-							for v := 0; v < g.NumVertices(); v++ {
-								got := res.Value(qi, graph.VertexID(v))
-								if got != want.Value(qi, graph.VertexID(v)) {
-									t.Errorf("%s rep %d: query %d vertex %d = %v, want %v",
-										e.Name(), rep, qi, v, got, want.Value(qi, graph.VertexID(v)))
-									return
-								}
+			for ri, r := range runs {
+				wg.Add(1)
+				go func(ri int, r stressRun) {
+					defer wg.Done()
+					res, err := r.e.Run(g, batch, r.opt)
+					if err != nil {
+						t.Errorf("%s: %v", r.e.Name(), err)
+						return
+					}
+					for qi := range batch {
+						for v := 0; v < g.NumVertices(); v++ {
+							got := res.Value(qi, graph.VertexID(v))
+							if got != want.Value(qi, graph.VertexID(v)) {
+								t.Errorf("%s run %d (%s, workers %d): query %d vertex %d = %v, want %v",
+									r.e.Name(), ri, r.opt.Layout, r.opt.Workers, qi, v, got, want.Value(qi, graph.VertexID(v)))
+								return
 							}
 						}
-					}(e, rep)
-				}
+					}
+				}(ri, r)
 			}
 			wg.Wait()
 		})

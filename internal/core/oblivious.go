@@ -36,20 +36,27 @@ type laneGroup struct {
 	lanes []int32
 }
 
-// obliviousScratch is the per-worker state of one EdgeMap pass.
+// obliviousScratch is the per-participant state of the EdgeMap passes: Run
+// builds one per pool slot and reuses it across chunks and iterations.
 type obliviousScratch struct {
 	srcVals []queries.Value
 	byKind  [6][]int32 // indexed by OpKind; OpCustom lanes keep interface dispatch
 	groups  []laneGroup
+	_       [64]byte // keeps the next participant's scratch off this line
 }
 
+// newObliviousScratch builds the scratch of one participant. Every buffer
+// reserves a cache line past its end: Run allocates all participants'
+// scratch back to back, and each participant rewrites its buffers on every
+// active vertex, so small batches would otherwise false-share them.
 func newObliviousScratch(b int) *obliviousScratch {
 	s := &obliviousScratch{
-		srcVals: make([]queries.Value, b),
-		groups:  make([]laneGroup, 0, 6),
+		srcVals: make([]queries.Value, b, b+8), // + 8 cells of 8 bytes
+		groups:  make([]laneGroup, 0, 6+2),     // + 2 groups of 32 bytes
 	}
+	lanes := make([]int32, len(s.byKind)*b+16) // + 16 lanes of 4 bytes
 	for i := range s.byKind {
-		s.byKind[i] = make([]int32, 0, b)
+		s.byKind[i] = lanes[i*b : i*b : (i+1)*b]
 	}
 	return s
 }
@@ -140,10 +147,16 @@ func relaxGroup(st *BatchSetup, s *obliviousScratch, grp laneGroup, dbase int, w
 
 func (oblivious) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResult, error) {
 	// Iterate-to-convergence kernels have no frontier to unify; they take
-	// the lane-fused Jacobi path (which shares this engine's interleaved
-	// value layout). Batching layers split mixed buffers by paradigm.
+	// the lane-fused Jacobi path (per-lane gathers, so padded by default).
+	// Batching layers split mixed buffers by paradigm.
 	if queries.AnyConvergent(batch) {
 		return RunConvergenceBatch(g, batch, opt)
+	}
+	// The push and pull loops read and relax every lane of a vertex
+	// together, so the paper's vertex-major ValArray[v*B+i] serves them one
+	// contiguous block per vertex instead of B cells a lane segment apart.
+	if opt.Layout == LayoutAuto {
+		opt.Layout = LayoutInterleaved
 	}
 	st, err := PrepareBatch(g, batch, opt)
 	if err != nil {
@@ -163,7 +176,13 @@ func (oblivious) Run(g *graph.Graph, batch []queries.Query, opt Options) (*Batch
 		addr = NewTraceAddressing(g, b, LayoutUnionOnly)
 	}
 
-	cur := frontier.New(n)
+	// Two frontiers ping-pong: the retired one is cleared and refilled as
+	// the next iteration's output, so no iteration allocates a bitmap.
+	cur, next := frontier.New(n), frontier.New(n)
+	scratches := make([]*obliviousScratch, pool.Participants(workers))
+	for i := range scratches {
+		scratches[i] = newObliviousScratch(b)
+	}
 	for iter := 0; ; iter++ {
 		// Inject queries whose delayed start arrives now.
 		injected := 0
@@ -190,32 +209,33 @@ func (oblivious) Run(g *graph.Graph, batch []queries.Query, opt Options) (*Batch
 			prev = countersOf(res)
 		}
 
+		next.Clear()
 		// Direction optimization: dense iterations pull over the reversed
 		// graph (never under tracing, which models the paper's push design).
 		if tr == nil && opt.ReverseGraph != nil && shouldPull(g, cur, pool, workers) {
-			cur = pullIteration(opt.ReverseGraph, st, kinds, cur, pool, workers, res)
+			pullIteration(opt.ReverseGraph, st, kinds, cur, next, pool, workers, res)
+			cur, next = next, cur
 			if opt.Telemetry != nil {
 				recordIteration(opt.Telemetry, st, res, iter, frontierSize, telemetry.ModePull, injected, prev)
 			}
 			continue
 		}
 
-		next := frontier.New(n)
 		active := cur.Sparse()
 		if tr != nil {
 			TraceRegionScan(tr, addr.unionCur, int64(len(cur.Words()))*8)
 		}
-		pool.For(len(active), workers, 0, func(lo, hi int) {
-			scratch := newObliviousScratch(b)
+		pool.ForSlot(len(active), workers, 0, func(lo, hi, slot int) {
+			scratch := scratches[slot]
 			var edges, relaxes, writes int64
 			for ai := lo; ai < hi; ai++ {
 				v := active[ai]
 				base := int(v) * st.VStride
 				// Snapshot the source values once per vertex and group the
-				// non-identity lanes by kernel kind. Interleaved runs read the
-				// contiguous block ValArray[v*B..v*B+B) — the locality the
-				// paper's layout buys; padded runs gather one cell per lane
-				// segment but never share a line across lanes.
+				// non-identity lanes by kernel kind. Interleaved runs (the
+				// default) read the contiguous block ValArray[v*B..v*B+B) —
+				// the locality the paper's layout buys; an explicitly padded
+				// run gathers one cell per lane segment instead.
 				activeLanes := scratch.collect(st, kinds, base)
 				if tr != nil {
 					tr.Access(addr.OffsetAddr(v), 8, false)
@@ -256,7 +276,7 @@ func (oblivious) Run(g *graph.Graph, batch []queries.Query, opt Options) (*Batch
 			atomic.AddInt64(&res.LaneRelaxations, relaxes)
 			atomic.AddInt64(&res.ValueWrites, writes)
 		})
-		cur = next
+		cur, next = next, cur
 		if opt.Telemetry != nil {
 			recordIteration(opt.Telemetry, st, res, iter, frontierSize, telemetry.ModePush, injected, prev)
 		}

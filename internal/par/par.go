@@ -58,7 +58,7 @@ type segCursor struct {
 // completion plumbing. Pool workers receive the job once per wake token and
 // participate until no claimable chunk remains anywhere.
 type job struct {
-	fn    func(lo, hi, chunk int)
+	fn    func(lo, hi, chunk, slot int)
 	grain int
 	// slots hands each arriving participant a distinct cursor index; the
 	// submitter takes slot 0 without going through the counter.
@@ -192,7 +192,7 @@ func (p *Pool) drain(j *job, slot, statIdx int) {
 			if hi > c.hi {
 				hi = c.hi
 			}
-			j.fn(int(lo), int(hi), int(lo)/j.grain)
+			j.fn(int(lo), int(hi), int(lo)/j.grain, slot)
 			executed += hi - lo
 			chunks++
 			if k > 0 {
@@ -220,14 +220,33 @@ func (p *Pool) drain(j *job, slot, statIdx int) {
 // single fn(0, total) call, which keeps single-threaded runs deterministic
 // and cheap.
 func (p *Pool) For(total, workers, grain int, fn func(lo, hi int)) {
-	p.run(total, workers, grain, func(lo, hi, _ int) { fn(lo, hi) })
+	p.run(total, workers, grain, func(lo, hi, _, _ int) { fn(lo, hi) })
 }
 
-// run is the shared scheduling core behind For and ForReduce: it derives
-// the chunk geometry, runs inline when parallelism cannot help, and
+// Participants returns how many goroutines at most take part in one loop
+// submitted with the given workers argument (<= 0: the pool's full
+// parallelism). Every ForSlot slot is below it.
+func (p *Pool) Participants(workers int) int {
+	if workers <= 0 {
+		return p.workers + 1
+	}
+	return workers
+}
+
+// ForSlot is For with the participant's slot passed to fn: each goroutine
+// taking part in the loop holds one slot in [0, Participants(workers)) for
+// every chunk it runs, and no two hold the same slot. Callers index
+// per-participant scratch built once, outside the loop, by it.
+func (p *Pool) ForSlot(total, workers, grain int, fn func(lo, hi, slot int)) {
+	p.run(total, workers, grain, func(lo, hi, _, slot int) { fn(lo, hi, slot) })
+}
+
+// run is the shared scheduling core behind For, ForSlot and ForReduce: it
+// derives the chunk geometry, runs inline when parallelism cannot help, and
 // otherwise dispatches a job. fn additionally receives the chunk index
-// (lo/grain), which ForReduce uses for deterministic per-chunk slots.
-func (p *Pool) run(total, workers, grain int, fn func(lo, hi, chunk int)) {
+// (lo/grain), which ForReduce uses for deterministic per-chunk slots, and
+// the participant slot (0 for an inline run), which ForSlot hands on.
+func (p *Pool) run(total, workers, grain int, fn func(lo, hi, chunk, slot int)) {
 	if total <= 0 {
 		return
 	}
@@ -237,7 +256,7 @@ func (p *Pool) run(total, workers, grain int, fn func(lo, hi, chunk int)) {
 	g, nChunks := grainFor(total, workers, grain)
 	if workers == 1 || total <= g {
 		p.inlineCount.Add(1)
-		fn(0, total, 0)
+		fn(0, total, 0, 0)
 		return
 	}
 	parts := workers
@@ -421,7 +440,7 @@ func ForReduce[R any](p *Pool, total, workers, grain int, identity R, fn func(lo
 		return fn(0, total, identity)
 	}
 	accs := make([]R, nChunks)
-	p.run(total, workers, g, func(lo, hi, chunk int) {
+	p.run(total, workers, g, func(lo, hi, chunk, _ int) {
 		accs[chunk] = fn(lo, hi, identity)
 	})
 	out := identity

@@ -180,6 +180,49 @@ func TestPoolForCoversRangeExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestPoolForSlotExclusiveSlots pins ForSlot's contract: every index runs
+// once, every slot is below Participants(workers), and no two goroutines
+// hold one slot at the same time — so per-slot scratch needs no locking. The
+// per-slot tallies are plain writes, which -race also checks.
+func TestPoolForSlotExclusiveSlots(t *testing.T) {
+	p := NewPool(3)
+	defer p.Close()
+	for _, workers := range []int{1, 2, 4, 8, 0} {
+		slots := p.Participants(workers)
+		for _, total := range []int{0, 1, 65, 1000, 100000} {
+			seen := make([]int32, total)
+			busy := make([]atomic.Bool, slots)
+			tally := make([]int, slots)
+			p.ForSlot(total, workers, 0, func(lo, hi, slot int) {
+				if slot < 0 || slot >= slots {
+					t.Errorf("workers=%d: slot %d outside [0,%d)", workers, slot, slots)
+					return
+				}
+				if busy[slot].Swap(true) {
+					t.Errorf("workers=%d: slot %d held by two goroutines", workers, slot)
+				}
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&seen[i], 1)
+				}
+				tally[slot] += hi - lo
+				busy[slot].Store(false)
+			})
+			sum := 0
+			for _, n := range tally {
+				sum += n
+			}
+			if sum != total {
+				t.Fatalf("workers=%d total=%d: slots ran %d indices", workers, total, sum)
+			}
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("workers=%d total=%d: index %d visited %d times", workers, total, i, c)
+				}
+			}
+		}
+	}
+}
+
 func TestPoolReuseAcrossCalls(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()

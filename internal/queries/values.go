@@ -10,10 +10,11 @@ import (
 // loop can implement the atomic "write if better" every push-model engine
 // needs (the writeMin of Ligra).
 //
-// The concurrent engines lay a whole batch out in one Values of length n*B,
-// with the value of vertex v for query i at index v*B+i — the
-// ValArray[v_j*B+i] layout of paper §3.5 that keeps a vertex's values for
-// all queries on the same cache line(s).
+// The concurrent engines lay a whole batch out in one Values. Glign-Intra
+// uses the ValArray[v_j*B+i] layout of paper §3.5 (length n*B), which keeps
+// a vertex's values for all queries on the same cache line(s); the per-lane
+// engines give each query its own cache-line-aligned segment instead (see
+// core.ValueLayout).
 type Values struct {
 	bits []uint64
 }

@@ -56,8 +56,9 @@ type Config struct {
 	// Tracer, when set, receives the memory accesses of every batch (one
 	// shared simulated cache across the whole buffer run).
 	Tracer memtrace.Tracer
-	// KeepValues retains per-query result vectors for verification
-	// (memory-heavy: n*|buffer| float64s).
+	// KeepValues retains every batch's value array so Result.Value and
+	// Result.Values can read each query's results (memory-heavy: about
+	// n*|buffer| float64s).
 	KeepValues bool
 	// DirectionOptimized enables push/pull hybrid iterations in the
 	// query-oblivious engine (an extension beyond the paper; requires a
@@ -90,9 +91,12 @@ type Result struct {
 	EdgesProcessed  int64
 	LaneRelaxations int64
 	ValueWrites     int64
-	// Values[bufferIdx] is the query's full result vector when
-	// Config.KeepValues is set.
-	Values map[int][]queries.Value
+	// kept[i] is batch i's engine result and where[bufferIdx] locates the
+	// query's lane in it, when Config.KeepValues is set: Value and Values
+	// read the batch value arrays in place instead of copying every query
+	// out.
+	kept  []*core.BatchResult
+	where []laneRef
 	// Telemetry is the run's trace when Config.Telemetry was set (snapshot
 	// it for the per-iteration timelines), nil otherwise.
 	Telemetry *telemetry.RunTrace
@@ -195,7 +199,7 @@ func Run(method string, g *graph.Graph, buffer []queries.Query, cfg Config) (*Re
 	run.SetPolicy(plan.policy.Name())
 	res := &Result{Method: method, Telemetry: run}
 	if cfg.KeepValues {
-		res.Values = make(map[int][]queries.Value, len(buffer))
+		res.where = make([]laneRef, len(buffer))
 	}
 
 	start := time.Now()
@@ -235,8 +239,9 @@ func Run(method string, g *graph.Graph, buffer []queries.Query, cfg Config) (*Re
 		res.LaneRelaxations += atomic.LoadInt64(&br.LaneRelaxations)
 		res.ValueWrites += atomic.LoadInt64(&br.ValueWrites)
 		if cfg.KeepValues {
+			res.kept = append(res.kept, br)
 			for qi, bufferIdx := range idx {
-				res.Values[bufferIdx] = br.QueryValues(qi)
+				res.where[bufferIdx] = laneRef{batch: bi, lane: qi}
 			}
 		}
 	}
@@ -247,6 +252,26 @@ func Run(method string, g *graph.Graph, buffer []queries.Query, cfg Config) (*Re
 	// per-iteration engine records.
 	cfg.Telemetry.ObservePool(par.OrDefault(cfg.Pool))
 	return res, nil
+}
+
+// Value returns the result of the query at bufferIdx at vertex v, read in
+// place from its batch's value array. The run must have set
+// Config.KeepValues.
+func (r *Result) Value(bufferIdx int, v graph.VertexID) queries.Value {
+	at := r.where[bufferIdx]
+	return r.kept[at.batch].Value(at.lane, v)
+}
+
+// Values returns a fresh copy of the result vector of the query at
+// bufferIdx: one value per vertex. The run must have set Config.KeepValues.
+func (r *Result) Values(bufferIdx int) []queries.Value {
+	at := r.where[bufferIdx]
+	return r.kept[at.batch].QueryValues(at.lane)
+}
+
+// laneRef locates a buffer query's results: batch index and lane within it.
+type laneRef struct {
+	batch, lane int
 }
 
 // QueryLatency returns the completion latency of the query at bufferIdx:

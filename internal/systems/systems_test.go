@@ -9,6 +9,7 @@ import (
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/memtrace"
 	"github.com/glign/glign/internal/queries"
+	"github.com/glign/glign/internal/sched"
 )
 
 func buffer(g *graph.Graph, n int, seed int64) []queries.Query {
@@ -40,7 +41,7 @@ func TestAllMethodsCorrect(t *testing.T) {
 			t.Fatalf("%s: %v", m, err)
 		}
 		for i := range buf {
-			got := res.Values[i]
+			got := res.Values(i)
 			if got == nil {
 				t.Fatalf("%s: query %d missing from results", m, i)
 			}
@@ -159,5 +160,77 @@ func TestStatsAggregation(t *testing.T) {
 	// Oblivious evaluation relaxes at least one lane per edge visit.
 	if res.LaneRelaxations < res.EdgesProcessed {
 		t.Fatalf("lane relaxations %d < edges %d", res.LaneRelaxations, res.EdgesProcessed)
+	}
+}
+
+// TestResultValuesInPlace pins the in-place result lookup: for every query
+// of every batch, Result.Value and Result.Values read exactly the kept
+// batch's QueryValues for the query's lane — on a buffer whose last batch is
+// partial, on a mixed buffer whose Jacobi batch (padded) sits beside a
+// monotone one (interleaved under Glign-Intra), and for every method.
+func TestResultValuesInPlace(t *testing.T) {
+	g := graph.MustGenerate(graph.LJ, graph.Tiny)
+	pr, err := queries.ByName("PageRank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := []queries.Query{
+		{Kernel: pr, Source: 0}, {Kernel: queries.BFS, Source: 3},
+		{Kernel: pr, Source: 5}, {Kernel: queries.BFS, Source: 9},
+		{Kernel: queries.SSSP, Source: 11},
+	}
+	// Each case may check the kept batches further.
+	partial := func(t *testing.T, buf []queries.Query, res *Result) {
+		if last := res.kept[len(res.kept)-1]; last.B != len(buf)%64 {
+			t.Fatalf("last batch has %d lanes, want a partial batch of %d", last.B, len(buf)%64)
+		}
+	}
+	layouts := func(t *testing.T, buf []queries.Query, res *Result) {
+		for bi, idx := range res.Batches {
+			br := res.kept[bi]
+			if padded := br.VStride == 1; padded != queries.AnyConvergent(sched.Select(buf, idx)) {
+				t.Fatalf("batch %d: vstride %d; want padded exactly for the Jacobi batch", bi, br.VStride)
+			}
+		}
+	}
+	cases := []struct {
+		name    string
+		methods []string
+		buf     []queries.Query
+		batch   int
+		check   func(*testing.T, []queries.Query, *Result)
+	}{
+		{"partial", []string{GlignIntra}, buffer(g, 70, 7), 64, partial},
+		{"mixed", []string{GlignIntra}, mixed, 8, layouts},
+		{"methods", AllMethods(), buffer(g, 20, 43), 8, nil},
+	}
+	for _, c := range cases {
+		for _, m := range c.methods {
+			t.Run(c.name+"/"+m, func(t *testing.T) {
+				res, err := Run(m, g, c.buf, Config{BatchSize: c.batch, Workers: 2, KeepValues: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.kept) != len(res.Batches) {
+					t.Fatalf("kept %d batch results for %d batches", len(res.kept), len(res.Batches))
+				}
+				for bi, idx := range res.Batches {
+					br := res.kept[bi]
+					for qi, bufferIdx := range idx {
+						want := br.QueryValues(qi)
+						got := res.Values(bufferIdx)
+						for v := range want {
+							if got[v] != want[v] || res.Value(bufferIdx, graph.VertexID(v)) != want[v] {
+								t.Fatalf("batch %d lane %d (buffer %d) v%d: Values %v, Value %v, want %v",
+									bi, qi, bufferIdx, v, got[v], res.Value(bufferIdx, graph.VertexID(v)), want[v])
+							}
+						}
+					}
+				}
+				if c.check != nil {
+					c.check(t, c.buf, res)
+				}
+			})
+		}
 	}
 }

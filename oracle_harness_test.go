@@ -88,7 +88,7 @@ func TestOracleHarness(t *testing.T) {
 						Method:     method,
 						Query:      q.String(),
 						Invariants: invs,
-						Violations: oracle.CheckResult(gc.g, q, res.Values[qi]),
+						Violations: oracle.CheckResult(gc.g, q, res.Values(qi)),
 					})
 				}
 			}

@@ -102,7 +102,7 @@ func TestServeMatchesOffline(t *testing.T) {
 							t.Fatalf("%s query %d (source v%d): %v [case seed %d, %s]",
 								label, i, buffer[i].Source, err, seed, ctx)
 						}
-						want := res.Values[i]
+						want := res.Values(i)
 						if len(got) != len(want) {
 							t.Fatalf("%s query %d (source v%d): %d values, want %d [case seed %d, %s]",
 								label, i, buffer[i].Source, len(got), len(want), seed, ctx)

@@ -58,6 +58,12 @@ echo "== go test =="
 # any inter-test state dependence surfaces here instead of in CI roulette.
 go test -shuffle=on ./...
 
+echo "== benchmark module =="
+# perfbench/ is a separate Go module (outside ./...) that compiles against
+# the public facade; vet and test it offline so a facade change that breaks
+# the benchmark build fails here.
+(cd perfbench && export GOFLAGS=-mod=mod GOPROXY=off GOWORK=off && go vet ./... && go test ./...)
+
 echo "== serve e2e telemetry archive =="
 # Re-run the deterministic serving session with its telemetry snapshot
 # archived under results/ — the `serving` section SERVING.md §8 audits.
