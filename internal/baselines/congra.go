@@ -30,7 +30,7 @@ func (Congra) Name() string { return "Congra" }
 
 // Run implements core.Engine.
 func (e Congra) Run(g *graph.Graph, batch []queries.Query, opt core.Options) (*core.BatchResult, error) {
-	st, err := core.PrepareBatch(g, batch, opt)
+	st, err := core.PrepareBatch(g, batch, opt, core.LayoutPadded)
 	if err != nil {
 		return nil, err
 	}

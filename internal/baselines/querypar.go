@@ -30,7 +30,7 @@ func (QueryParallel) Run(g *graph.Graph, batch []queries.Query, opt core.Options
 	if queries.AnyConvergent(batch) {
 		return core.RunConvergenceSequential(g, batch, opt)
 	}
-	st, err := core.PrepareBatch(g, batch, opt)
+	st, err := core.PrepareBatch(g, batch, opt, core.LayoutPadded)
 	if err != nil {
 		return nil, err
 	}

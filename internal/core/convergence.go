@@ -15,9 +15,9 @@ import (
 // RunConvergenceBatch is the lane-fused Jacobi evaluator behind the batch
 // engines: one synchronized round recomputes every vertex for every
 // still-running lane from the previous round's in-neighbor values, using the
-// same layout machinery as the monotone engines (Options.Layout; padded
-// per-lane segments by default, so a lane's gather of in-neighbor values
-// walks one n-cell segment instead of striding across all B lanes). The batch must be
+// same layout machinery as the monotone engines (padded per-lane segments,
+// so a lane's gather of in-neighbor values walks one n-cell segment instead
+// of striding across all B lanes). The batch must be
 // paradigm-homogeneous — every kernel a queries.ConvergenceKernel; the
 // batching layers split mixed buffers before routing.
 //
@@ -55,16 +55,12 @@ func RunConvergenceBatch(g *graph.Graph, batch []queries.Query, opt Options) (*B
 			caps[i] = opt.MaxIterations
 		}
 	}
-	geo := engine.NewConvergenceGeometry(g, opt.ReverseGraph)
+	geo := engine.NewConvergenceGeometry(g, nil)
 	pool := par.OrDefault(opt.Pool)
 	workers := opt.Workers
 
-	// The Jacobi path ignores Options.Tracer, so LayoutAuto is always padded.
-	layout := opt.Layout
-	if layout == LayoutAuto {
-		layout = LayoutPadded
-	}
-	vstride, laneOff, total := layoutGeometry(layout, n, b)
+	// The Jacobi path ignores Options.Tracer, so it is always padded.
+	vstride, laneOff, total := layoutGeometry(LayoutPadded, n, b)
 
 	old := make([]queries.Value, total)
 	next := make([]queries.Value, total)
@@ -205,15 +201,11 @@ func RunConvergenceSequential(g *graph.Graph, batch []queries.Query, opt Options
 		return nil, fmt.Errorf("core: empty batch")
 	}
 	n := g.NumVertices()
-	rev := opt.ReverseGraph
-	if rev == nil && g.Directed {
+	var rev *graph.Graph
+	if g.Directed {
 		rev = g.Reverse()
 	}
-	layout := opt.Layout
-	if layout == LayoutAuto {
-		layout = LayoutPadded
-	}
-	vstride, laneOff, total := layoutGeometry(layout, n, b)
+	vstride, laneOff, total := layoutGeometry(LayoutPadded, n, b)
 	vals := queries.NewValues(total, 0)
 	res := &BatchResult{
 		B: b, N: n, Values: vals,

@@ -151,7 +151,7 @@ func TestMixedParadigmBatchRejected(t *testing.T) {
 // engines without a Jacobi path (GraphM, Congra).
 func TestPrepareBatchRejectsConvergenceKernels(t *testing.T) {
 	_, road := convGraphs(t)
-	_, err := PrepareBatch(road, []queries.Query{{Kernel: queries.LabelProp, Source: 0}}, Options{})
+	_, err := PrepareBatch(road, []queries.Query{{Kernel: queries.LabelProp, Source: 0}}, Options{}, LayoutPadded)
 	if err == nil || !strings.Contains(err.Error(), "iterate-to-convergence") {
 		t.Fatalf("PrepareBatch accepted a convergence kernel (err = %v)", err)
 	}

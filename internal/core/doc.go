@@ -9,8 +9,13 @@
 //     query bitmasks instead of B separate frontier arrays.
 //   - Oblivious: Glign's query-oblivious frontier (paper Figure 5-c,
 //     §3.2) — a single unified frontier with every active vertex relaxed
-//     for all queries in the batch. Dense iterations switch to pull mode
-//     over the reversed graph (the direction optimization, §3.5).
+//     for all queries in the batch.
+//
+// The monotone batch engines (Glign-Intra, Ligra-C, Krill and the GraphM
+// baseline) share one push-model global-iteration loop, RunFrontier: it owns
+// delayed-start injection, the stop test, iteration records and telemetry,
+// and each engine supplies only a FrontierPolicy — its frontier structures
+// and its edge loop.
 //
 // All engines keep a batch in one flat value array whose layout each engine
 // picks by its access pattern (see ValueLayout): Glign-Intra uses the paper's
@@ -21,7 +26,7 @@
 // Glign-Inter's "delayed start".
 //
 // When Options.Telemetry is set, every engine records one IterationStat per
-// global iteration — frontier size, push/pull mode, active and injected
+// global iteration — frontier size, mode, active and injected
 // queries, edges processed, lane relaxations, value writes — at a cost of
 // one record per iteration, never per edge (see internal/telemetry and
 // OBSERVABILITY.md).

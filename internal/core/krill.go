@@ -7,9 +7,7 @@ import (
 
 	"github.com/glign/glign/internal/frontier"
 	"github.com/glign/glign/internal/graph"
-	"github.com/glign/glign/internal/par"
 	"github.com/glign/glign/internal/queries"
-	"github.com/glign/glign/internal/telemetry"
 )
 
 // krill models the Krill system (Chen et al., SC'21): like Ligra-C it
@@ -37,124 +35,106 @@ func (krill) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResu
 		return nil, fmt.Errorf("core: Krill engine supports at most %d queries per batch, got %d",
 			frontier.MaxQueries, len(batch))
 	}
-	st, err := PrepareBatch(g, batch, opt)
-	if err != nil {
-		return nil, err
-	}
-	n, b := st.N, st.B
-	kinds := queries.KindsOf(st.Kernels)
-	res := st.NewResult()
-	res.UnionFrontierSizes = make([]int, 0, iterCapHint(opt.MaxIterations))
+	return RunFrontier(g, batch, opt, LayoutPadded, LayoutQueryMask, newKrillPolicy)
+}
 
-	tr := opt.Tracer
-	pool := par.OrDefault(opt.Pool)
-	workers := opt.Workers
-	var addr *TraceAddressing
+// krillPolicy is Krill's frontier policy: the unified frontier plus the
+// per-vertex query masks. Both ping-pong with their next-iteration copies:
+// the retired pair is cleared and refilled as the next iteration's output.
+type krillPolicy struct {
+	t                *Traversal
+	union, nextUnion *frontier.Subset
+	qm, nextQM       *frontier.QueryMask
+}
+
+func newKrillPolicy(t *Traversal) FrontierPolicy {
+	n := t.St.N
+	return &krillPolicy{
+		t:         t,
+		union:     frontier.New(n),
+		nextUnion: frontier.New(n),
+		qm:        frontier.NewQueryMask(n),
+		nextQM:    frontier.NewQueryMask(n),
+	}
+}
+
+func (p *krillPolicy) Inject(qi int, src graph.VertexID) {
+	p.qm.Set(src, qi)
+	p.union.Add(src)
+	if tr, addr := p.t.Tracer, p.t.Addr; tr != nil {
+		tr.Access(addr.values+int64(int(src)*p.t.St.B+qi)*8, 8, true)
+		tr.Access(addr.qmaskCur+int64(src)*8, 8, true)
+		tr.Access(addr.unionCur+int64(src>>6)*8, 8, true)
+	}
+}
+
+func (p *krillPolicy) FrontierSize() int { return p.union.Count() }
+
+func (p *krillPolicy) Step() {
+	g, st, res, kinds := p.t.G, p.t.St, p.t.Res, p.t.Kinds
+	tr, addr, b := p.t.Tracer, p.t.Addr, p.t.St.B
+	union, nextUnion, qm, nextQM := p.union, p.nextUnion, p.qm, p.nextQM
+	nextUnion.Clear()
+	nextQM.Clear()
+	active := union.Sparse()
 	if tr != nil {
-		workers = 1
-		addr = NewTraceAddressing(g, b, LayoutQueryMask)
+		TraceRegionScan(tr, addr.unionCur, int64(len(union.Words()))*8)
 	}
-
-	union := frontier.New(n)
-	qm := frontier.NewQueryMask(n)
-
-	for iter := 0; ; iter++ {
-		injected := 0
-		for _, qi := range st.InjectionsAt(iter) {
-			src := st.Sources[qi]
-			st.Vals.Set(st.Cell(int(src), qi), st.Kernels[qi].SourceValue())
-			qm.Set(src, qi)
-			union.Add(src)
-			injected++
+	p.t.Pool.For(len(active), p.t.Workers, 0, func(lo, hi int) {
+		var edges, relaxes, writes int64
+		for ai := lo; ai < hi; ai++ {
+			v := active[ai]
+			base := int(v) * st.VStride
+			mask := qm.Get(v)
 			if tr != nil {
-				tr.Access(addr.values+int64(int(src)*b+qi)*8, 8, true)
-				tr.Access(addr.qmaskCur+int64(src)*8, 8, true)
-				tr.Access(addr.unionCur+int64(src>>6)*8, 8, true)
+				tr.Access(addr.qmaskCur+int64(v)*8, 8, false)
 			}
-		}
-		if union.IsEmpty() && !st.PendingAfter(iter) {
-			break
-		}
-		if opt.MaxIterations > 0 && iter >= opt.MaxIterations {
-			break
-		}
-		frontierSize := union.Count()
-		res.UnionFrontierSizes = append(res.UnionFrontierSizes, frontierSize)
-		res.GlobalIterations++
-		var prev iterCounters
-		if opt.Telemetry != nil {
-			prev = countersOf(res)
-		}
-
-		nextUnion := frontier.New(n)
-		nextQM := frontier.NewQueryMask(n)
-		active := union.Sparse()
-		if tr != nil {
-			TraceRegionScan(tr, addr.unionCur, int64(len(union.Words()))*8)
-		}
-		pool.For(len(active), workers, 0, func(lo, hi int) {
-			var edges, relaxes, writes int64
-			for ai := lo; ai < hi; ai++ {
-				v := active[ai]
-				base := int(v) * st.VStride
-				mask := qm.Get(v)
+			if mask == 0 {
+				continue
+			}
+			if tr != nil {
+				tr.Access(addr.offsets+int64(v)*4, 8, false)
+				tr.Access(addr.values+int64(base)*8, int64(b)*8, false)
+			}
+			nbrs, ws := g.OutEdges(v)
+			for j, d := range nbrs {
+				edges++
+				w := graph.Weight(1)
+				if ws != nil {
+					w = ws[j]
+				}
+				dbase := int(d) * st.VStride
 				if tr != nil {
-					tr.Access(addr.qmaskCur+int64(v)*8, 8, false)
+					eo := int64(g.Offsets[v]) + int64(j)
+					addr.TraceEdgeRead(tr, g, eo)
 				}
-				if mask == 0 {
-					continue
-				}
-				if tr != nil {
-					tr.Access(addr.offsets+int64(v)*4, 8, false)
-					tr.Access(addr.values+int64(base)*8, int64(b)*8, false)
-				}
-				nbrs, ws := g.OutEdges(v)
-				for j, d := range nbrs {
-					edges++
-					w := graph.Weight(1)
-					if ws != nil {
-						w = ws[j]
-					}
-					dbase := int(d) * st.VStride
+				anyImproved := false
+				for m := mask; m != 0; m &= m - 1 {
+					i := bits.TrailingZeros64(m)
+					relaxes++
 					if tr != nil {
-						eo := int64(g.Offsets[v]) + int64(j)
-						addr.TraceEdgeRead(tr, g, eo)
+						tr.Access(addr.values+int64(dbase+i)*8, 8, false)
 					}
-					anyImproved := false
-					for m := mask; m != 0; m &= m - 1 {
-						i := bits.TrailingZeros64(m)
-						relaxes++
+					if queries.RelaxImprove(st.Vals, kinds[i], st.Kernels[i], dbase+st.LaneOff[i], st.Vals.Get(base+st.LaneOff[i]), w) {
+						writes++
+						anyImproved = true
+						nextQM.Set(d, i)
+						nextUnion.AddSync(d)
 						if tr != nil {
-							tr.Access(addr.values+int64(dbase+i)*8, 8, false)
+							tr.Access(addr.values+int64(dbase+i)*8, 8, true)
 						}
-						if queries.RelaxImprove(st.Vals, kinds[i], st.Kernels[i], dbase+st.LaneOff[i], st.Vals.Get(base+st.LaneOff[i]), w) {
-							writes++
-							anyImproved = true
-							nextQM.Set(d, i)
-							nextUnion.AddSync(d)
-							if tr != nil {
-								tr.Access(addr.values+int64(dbase+i)*8, 8, true)
-							}
-						}
-					}
-					if tr != nil && anyImproved {
-						tr.Access(addr.qmaskNext+int64(d)*8, 8, true)
-						tr.Access(addr.unionNext+int64(d>>6)*8, 8, true)
 					}
 				}
+				if tr != nil && anyImproved {
+					tr.Access(addr.qmaskNext+int64(d)*8, 8, true)
+					tr.Access(addr.unionNext+int64(d>>6)*8, 8, true)
+				}
 			}
-			atomic.AddInt64(&res.EdgesProcessed, edges)
-			atomic.AddInt64(&res.LaneRelaxations, relaxes)
-			atomic.AddInt64(&res.ValueWrites, writes)
-		})
-		union = nextUnion
-		qm = nextQM
-		if opt.Telemetry != nil {
-			recordIteration(opt.Telemetry, st, res, iter, frontierSize, telemetry.ModePush, injected, prev)
 		}
-		if tr != nil {
-			addr.SwapFrontiers()
-		}
-	}
-	return res, nil
+		atomic.AddInt64(&res.EdgesProcessed, edges)
+		atomic.AddInt64(&res.LaneRelaxations, relaxes)
+		atomic.AddInt64(&res.ValueWrites, writes)
+	})
+	p.union, p.nextUnion = nextUnion, union
+	p.qm, p.nextQM = nextQM, qm
 }

@@ -53,47 +53,42 @@ func TestTracerForcesInterleavedLayout(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
 	batch := []queries.Query{{Kernel: queries.BFS, Source: 1}, {Kernel: queries.SSSP, Source: 2}}
 
-	st, err := PrepareBatch(g, batch, Options{Tracer: &memtrace.CountingTracer{}})
+	st, err := PrepareBatch(g, batch, Options{Tracer: &memtrace.CountingTracer{}}, LayoutPadded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Layout != LayoutInterleaved || st.VStride != st.B {
-		t.Fatalf("tracer run resolved layout %v (vstride %d); the simulated address stream must stay interleaved",
-			st.Layout, st.VStride)
+	if st.VStride != st.B {
+		t.Fatalf("tracer run resolved vstride %d; the simulated address stream must stay interleaved", st.VStride)
 	}
 
-	st, err = PrepareBatch(g, batch, Options{})
+	st, err = PrepareBatch(g, batch, Options{}, LayoutPadded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Layout != LayoutPadded || st.VStride != 1 {
-		t.Fatalf("untraced run resolved layout %v (vstride %d), want padded", st.Layout, st.VStride)
+	if st.VStride != 1 {
+		t.Fatalf("untraced padded run resolved vstride %d, want 1", st.VStride)
 	}
 }
 
-// TestEngineLayoutResolution pins which layout LayoutAuto means per engine
-// on an untraced run: Glign-Intra (push and pull alike) relaxes every lane of
-// a vertex together and takes the interleaved layout; Ligra-C's per-lane
-// loops take padded.
+// TestEngineLayoutResolution pins each engine's layout on an untraced run:
+// Glign-Intra relaxes every lane of a vertex together and takes the
+// interleaved layout; Ligra-C's per-lane loops take padded.
 func TestEngineLayoutResolution(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
 	batch := []queries.Query{{Kernel: queries.BFS, Source: 1}, {Kernel: queries.SSSP, Source: 2}, {Kernel: queries.BFS, Source: 4}}
-	for _, opt := range []Options{{Workers: 2}, {Workers: 2, ReverseGraph: g.Reverse()}} {
-		res, err := GlignIntra.Run(g, batch, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.VStride != len(batch) {
-			t.Fatalf("Glign-Intra (pull graph %v) resolved vstride %d, want interleaved %d",
-				opt.ReverseGraph != nil, res.VStride, len(batch))
-		}
-		for i, off := range res.LaneOff {
-			if off != i {
-				t.Fatalf("Glign-Intra: LaneOff[%d]=%d, want interleaved %d", i, off, i)
-			}
+	res, err := GlignIntra.Run(g, batch, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.VStride != len(batch) {
+		t.Fatalf("Glign-Intra resolved vstride %d, want interleaved %d", res.VStride, len(batch))
+	}
+	for i, off := range res.LaneOff {
+		if off != i {
+			t.Fatalf("Glign-Intra: LaneOff[%d]=%d, want interleaved %d", i, off, i)
 		}
 	}
-	res, err := LigraC.Run(g, batch, Options{Workers: 2})
+	res, err = LigraC.Run(g, batch, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,57 +97,63 @@ func TestEngineLayoutResolution(t *testing.T) {
 	}
 }
 
+// tracedReference runs e single-threaded under a counting tracer, which
+// forces the interleaved layout: the reference the padded runs must match.
+func tracedReference(t *testing.T, e Engine, g *graph.Graph, batch []queries.Query) *BatchResult {
+	t.Helper()
+	ref, err := e.Run(g, batch, Options{Workers: 1, Tracer: &memtrace.CountingTracer{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.VStride != len(batch) {
+		t.Fatalf("%s traced run has vstride %d, want interleaved %d", e.Name(), ref.VStride, len(batch))
+	}
+	return ref
+}
+
 // TestLayoutEquivalenceAcrossEngines pins bitwise-equal results between the
-// padded and interleaved layouts for every concurrent engine, on monotone and
-// iterate-to-convergence batches.
+// padded and interleaved layouts for every per-lane monotone engine: its
+// default (padded) run at workers 2 and 8 against its traced (interleaved)
+// run.
 func TestLayoutEquivalenceAcrossEngines(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
-	monotone := []queries.Query{
+	batch := []queries.Query{
 		{Kernel: queries.SSSP, Source: 1},
 		{Kernel: queries.BFS, Source: 3},
 		{Kernel: queries.SSWP, Source: 5},
 		{Kernel: queries.SSNP, Source: 7},
 	}
-	pr, err := queries.ByName("PageRank")
-	if err != nil {
-		t.Fatal(err)
-	}
-	convergent := []queries.Query{
-		{Kernel: pr, Source: 0},
-		{Kernel: pr, Source: 2},
-	}
-
-	for _, e := range []Engine{GlignIntra, LigraC, Krill, LigraS} {
-		for name, batch := range map[string][]queries.Query{"monotone": monotone, "convergence": convergent} {
-			t.Run(fmt.Sprintf("%s/%s", e.Name(), name), func(t *testing.T) {
-				ref, err := e.Run(g, batch, Options{Workers: 1, Layout: LayoutInterleaved})
+	for _, e := range []Engine{LigraC, Krill, LigraS} {
+		t.Run(e.Name()+"/monotone", func(t *testing.T) {
+			ref := tracedReference(t, e, g, batch)
+			for _, w := range []int{2, 8} {
+				got, err := e.Run(g, batch, Options{Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := e.Run(g, batch, Options{Workers: 2, Layout: LayoutPadded})
-				if err != nil {
-					t.Fatal(err)
+				if got.VStride != 1 {
+					t.Fatalf("workers %d: default run has vstride %d, want padded", w, got.VStride)
 				}
 				for qi := range batch {
 					rv := ref.QueryValues(qi)
 					gv := got.QueryValues(qi)
 					for v := range rv {
 						if gv[v] != rv[v] {
-							t.Fatalf("query %d vertex %d: padded %v != interleaved %v", qi, v, gv[v], rv[v])
+							t.Fatalf("workers %d, query %d vertex %d: padded %v != interleaved %v", w, qi, v, gv[v], rv[v])
 						}
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// TestPaddedLayoutStress is the race-detector stress for the padded per-lane
-// layout: an 8-lane batch hammered concurrently by all CAS engines across
-// GOMAXPROCS 1, 2 and 8, every run checked bitwise against the serial
-// interleaved reference. Glign-Intra also runs with its default
-// (interleaved) layout at workers 2 and 8, push-only and with pull
-// iterations. verify.sh runs this package under -race.
+// TestPaddedLayoutStress is the race-detector stress for the value layouts:
+// an 8-lane batch hammered concurrently by all CAS engines at their default
+// layouts (padded Ligra-C and Krill, interleaved Glign-Intra) at workers 2
+// and 8, across GOMAXPROCS 1, 2 and 8, every run checked bitwise against the
+// engine's serial traced (interleaved) reference. verify.sh runs this
+// package under -race.
 func TestPaddedLayoutStress(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
 	batch := []queries.Query{
@@ -168,25 +169,18 @@ func TestPaddedLayoutStress(t *testing.T) {
 	if len(batch) != 8 {
 		t.Fatal("stress batch must have 8 lanes")
 	}
-	want, err := GlignIntra.Run(g, batch, Options{Workers: 1, Layout: LayoutInterleaved})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	type stressRun struct {
-		e   Engine
-		opt Options
+		e       Engine
+		workers int
 	}
+	want := map[string]*BatchResult{}
 	var runs []stressRun
-	for rep := 0; rep < 3; rep++ {
-		for _, e := range []Engine{GlignIntra, LigraC, Krill} {
-			runs = append(runs, stressRun{e, Options{Workers: 2 + rep, Layout: LayoutPadded}})
+	for _, e := range []Engine{GlignIntra, LigraC, Krill} {
+		want[e.Name()] = tracedReference(t, e, g, batch)
+		for rep := 0; rep < 2; rep++ {
+			runs = append(runs, stressRun{e, 2}, stressRun{e, 8})
 		}
-	}
-	rev := g.Reverse()
-	for _, w := range []int{2, 8} {
-		runs = append(runs, stressRun{GlignIntra, Options{Workers: w}},
-			stressRun{GlignIntra, Options{Workers: w, ReverseGraph: rev}})
 	}
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
@@ -198,17 +192,18 @@ func TestPaddedLayoutStress(t *testing.T) {
 				wg.Add(1)
 				go func(ri int, r stressRun) {
 					defer wg.Done()
-					res, err := r.e.Run(g, batch, r.opt)
+					res, err := r.e.Run(g, batch, Options{Workers: r.workers})
 					if err != nil {
 						t.Errorf("%s: %v", r.e.Name(), err)
 						return
 					}
+					ref := want[r.e.Name()]
 					for qi := range batch {
 						for v := 0; v < g.NumVertices(); v++ {
 							got := res.Value(qi, graph.VertexID(v))
-							if got != want.Value(qi, graph.VertexID(v)) {
-								t.Errorf("%s run %d (%s, workers %d): query %d vertex %d = %v, want %v",
-									r.e.Name(), ri, r.opt.Layout, r.opt.Workers, qi, v, got, want.Value(qi, graph.VertexID(v)))
+							if got != ref.Value(qi, graph.VertexID(v)) {
+								t.Errorf("%s run %d (vstride %d, workers %d): query %d vertex %d = %v, want %v",
+									r.e.Name(), ri, res.VStride, r.workers, qi, v, got, ref.Value(qi, graph.VertexID(v)))
 								return
 							}
 						}

@@ -25,7 +25,7 @@ func (ligraS) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchRes
 	if queries.AnyConvergent(batch) {
 		return RunConvergenceSequential(g, batch, opt)
 	}
-	st, err := PrepareBatch(g, batch, opt)
+	st, err := PrepareBatch(g, batch, opt, LayoutPadded)
 	if err != nil {
 		return nil, err
 	}

@@ -5,9 +5,7 @@ import (
 
 	"github.com/glign/glign/internal/frontier"
 	"github.com/glign/glign/internal/graph"
-	"github.com/glign/glign/internal/par"
 	"github.com/glign/glign/internal/queries"
-	"github.com/glign/glign/internal/telemetry"
 )
 
 // oblivious is Glign's query-oblivious frontier engine (paper §3.2,
@@ -36,8 +34,8 @@ type laneGroup struct {
 	lanes []int32
 }
 
-// obliviousScratch is the per-participant state of the EdgeMap passes: Run
-// builds one per pool slot and reuses it across chunks and iterations.
+// obliviousScratch is the per-participant state of the EdgeMap passes: the
+// policy builds one per pool slot and reuses it across chunks and iterations.
 type obliviousScratch struct {
 	srcVals []queries.Value
 	byKind  [6][]int32 // indexed by OpKind; OpCustom lanes keep interface dispatch
@@ -46,7 +44,7 @@ type obliviousScratch struct {
 }
 
 // newObliviousScratch builds the scratch of one participant. Every buffer
-// reserves a cache line past its end: Run allocates all participants'
+// reserves a cache line past its end: the policy allocates all participants'
 // scratch back to back, and each participant rewrites its buffers on every
 // active vertex, so small batches would otherwise false-share them.
 func newObliviousScratch(b int) *obliviousScratch {
@@ -147,142 +145,108 @@ func relaxGroup(st *BatchSetup, s *obliviousScratch, grp laneGroup, dbase int, w
 
 func (oblivious) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResult, error) {
 	// Iterate-to-convergence kernels have no frontier to unify; they take
-	// the lane-fused Jacobi path (per-lane gathers, so padded by default).
-	// Batching layers split mixed buffers by paradigm.
+	// the lane-fused Jacobi path (per-lane gathers, so padded). Batching
+	// layers split mixed buffers by paradigm.
 	if queries.AnyConvergent(batch) {
 		return RunConvergenceBatch(g, batch, opt)
 	}
-	// The push and pull loops read and relax every lane of a vertex
-	// together, so the paper's vertex-major ValArray[v*B+i] serves them one
-	// contiguous block per vertex instead of B cells a lane segment apart.
-	if opt.Layout == LayoutAuto {
-		opt.Layout = LayoutInterleaved
-	}
-	st, err := PrepareBatch(g, batch, opt)
-	if err != nil {
-		return nil, err
-	}
-	n, b := st.N, st.B
-	kinds := queries.KindsOf(st.Kernels)
-	res := st.NewResult()
-	res.UnionFrontierSizes = make([]int, 0, iterCapHint(opt.MaxIterations))
+	// The push loop reads and relaxes every lane of a vertex together, so
+	// the paper's vertex-major ValArray[v*B+i] serves it one contiguous block
+	// per vertex instead of B cells a lane segment apart.
+	return RunFrontier(g, batch, opt, LayoutInterleaved, LayoutUnionOnly, newObliviousPolicy)
+}
 
-	tr := opt.Tracer
-	pool := par.OrDefault(opt.Pool)
-	workers := opt.Workers
-	var addr *TraceAddressing
-	if tr != nil {
-		workers = 1
-		addr = NewTraceAddressing(g, b, LayoutUnionOnly)
-	}
-
+// obliviousPolicy is Glign-Intra's frontier policy: one unified frontier,
+// every active vertex relaxed for all of its non-identity lanes.
+type obliviousPolicy struct {
+	t *Traversal
 	// Two frontiers ping-pong: the retired one is cleared and refilled as
 	// the next iteration's output, so no iteration allocates a bitmap.
-	cur, next := frontier.New(n), frontier.New(n)
-	scratches := make([]*obliviousScratch, pool.Participants(workers))
-	for i := range scratches {
-		scratches[i] = newObliviousScratch(b)
+	cur, next *frontier.Subset
+	scratches []*obliviousScratch
+}
+
+func newObliviousPolicy(t *Traversal) FrontierPolicy {
+	n := t.St.N
+	p := &obliviousPolicy{
+		t:         t,
+		cur:       frontier.New(n),
+		next:      frontier.New(n),
+		scratches: make([]*obliviousScratch, t.Pool.Participants(t.Workers)),
 	}
-	for iter := 0; ; iter++ {
-		// Inject queries whose delayed start arrives now.
-		injected := 0
-		for _, qi := range st.InjectionsAt(iter) {
-			src := st.Sources[qi]
-			st.Vals.Set(st.Cell(int(src), qi), st.Kernels[qi].SourceValue())
+	for i := range p.scratches {
+		p.scratches[i] = newObliviousScratch(t.St.B)
+	}
+	return p
+}
+
+func (p *obliviousPolicy) Inject(qi int, src graph.VertexID) {
+	if p.t.Tracer != nil {
+		p.t.Tracer.Access(p.t.Addr.ValueAddr(p.t.St.Cell(int(src), qi)), 8, true)
+	}
+	p.cur.Add(src)
+}
+
+func (p *obliviousPolicy) FrontierSize() int { return p.cur.Count() }
+
+func (p *obliviousPolicy) Step() {
+	g, st, res, kinds, scratches := p.t.G, p.t.St, p.t.Res, p.t.Kinds, p.scratches
+	tr, addr, b := p.t.Tracer, p.t.Addr, p.t.St.B
+	cur, next := p.cur, p.next
+	next.Clear()
+	active := cur.Sparse()
+	if tr != nil {
+		TraceRegionScan(tr, addr.unionCur, int64(len(cur.Words()))*8)
+	}
+	p.t.Pool.ForSlot(len(active), p.t.Workers, 0, func(lo, hi, slot int) {
+		scratch := scratches[slot]
+		var edges, relaxes, writes int64
+		for ai := lo; ai < hi; ai++ {
+			v := active[ai]
+			base := int(v) * st.VStride
+			// Snapshot the source values once per vertex and group the
+			// non-identity lanes by kernel kind. The interleaved layout
+			// reads the contiguous block ValArray[v*B..v*B+B) — the
+			// locality the paper's layout buys.
+			activeLanes := scratch.collect(st, kinds, base)
 			if tr != nil {
-				tr.Access(addr.ValueAddr(st.Cell(int(src), qi)), 8, true)
+				tr.Access(addr.OffsetAddr(v), 8, false)
+				tr.Access(addr.ValueAddr(base), int64(b)*8, false)
 			}
-			cur.Add(src)
-			injected++
-		}
-		if cur.IsEmpty() && !st.PendingAfter(iter) {
-			break
-		}
-		if opt.MaxIterations > 0 && iter >= opt.MaxIterations {
-			break
-		}
-		frontierSize := cur.Count()
-		res.UnionFrontierSizes = append(res.UnionFrontierSizes, frontierSize)
-		res.GlobalIterations++
-		var prev iterCounters
-		if opt.Telemetry != nil {
-			prev = countersOf(res)
-		}
-
-		next.Clear()
-		// Direction optimization: dense iterations pull over the reversed
-		// graph (never under tracing, which models the paper's push design).
-		if tr == nil && opt.ReverseGraph != nil && shouldPull(g, cur, pool, workers) {
-			pullIteration(opt.ReverseGraph, st, kinds, cur, next, pool, workers, res)
-			cur, next = next, cur
-			if opt.Telemetry != nil {
-				recordIteration(opt.Telemetry, st, res, iter, frontierSize, telemetry.ModePull, injected, prev)
+			if activeLanes == 0 {
+				continue
 			}
-			continue
-		}
-
-		active := cur.Sparse()
-		if tr != nil {
-			TraceRegionScan(tr, addr.unionCur, int64(len(cur.Words()))*8)
-		}
-		pool.ForSlot(len(active), workers, 0, func(lo, hi, slot int) {
-			scratch := scratches[slot]
-			var edges, relaxes, writes int64
-			for ai := lo; ai < hi; ai++ {
-				v := active[ai]
-				base := int(v) * st.VStride
-				// Snapshot the source values once per vertex and group the
-				// non-identity lanes by kernel kind. Interleaved runs (the
-				// default) read the contiguous block ValArray[v*B..v*B+B) —
-				// the locality the paper's layout buys; an explicitly padded
-				// run gathers one cell per lane segment instead.
-				activeLanes := scratch.collect(st, kinds, base)
+			nbrs, ws := g.OutEdges(v)
+			for j, d := range nbrs {
+				edges++
+				w := graph.Weight(1)
+				if ws != nil {
+					w = ws[j]
+				}
+				dbase := int(d) * st.VStride
+				relaxes += int64(activeLanes)
+				improved := 0
+				for _, grp := range scratch.groups {
+					improved += relaxGroup(st, scratch, grp, dbase, w)
+				}
 				if tr != nil {
-					tr.Access(addr.OffsetAddr(v), 8, false)
-					tr.Access(addr.ValueAddr(base), int64(b)*8, false)
+					eo := int64(g.Offsets[v]) + int64(j)
+					addr.TraceEdgeRead(tr, g, eo)
+					// The destination's whole lane block is touched.
+					tr.Access(addr.ValueAddr(dbase), int64(activeLanes)*8, improved > 0)
 				}
-				if activeLanes == 0 {
-					continue
-				}
-				nbrs, ws := g.OutEdges(v)
-				for j, d := range nbrs {
-					edges++
-					w := graph.Weight(1)
-					if ws != nil {
-						w = ws[j]
-					}
-					dbase := int(d) * st.VStride
-					relaxes += int64(activeLanes)
-					improved := 0
-					for _, grp := range scratch.groups {
-						improved += relaxGroup(st, scratch, grp, dbase, w)
-					}
+				if improved > 0 {
+					writes += int64(improved)
 					if tr != nil {
-						eo := int64(g.Offsets[v]) + int64(j)
-						addr.TraceEdgeRead(tr, g, eo)
-						// The destination's whole lane block is touched.
-						tr.Access(addr.ValueAddr(dbase), int64(activeLanes)*8, improved > 0)
+						tr.Access(addr.unionNext+int64(d>>6)*8, 8, true)
 					}
-					if improved > 0 {
-						writes += int64(improved)
-						if tr != nil {
-							tr.Access(addr.unionNext+int64(d>>6)*8, 8, true)
-						}
-						next.AddSync(d)
-					}
+					next.AddSync(d)
 				}
 			}
-			atomic.AddInt64(&res.EdgesProcessed, edges)
-			atomic.AddInt64(&res.LaneRelaxations, relaxes)
-			atomic.AddInt64(&res.ValueWrites, writes)
-		})
-		cur, next = next, cur
-		if opt.Telemetry != nil {
-			recordIteration(opt.Telemetry, st, res, iter, frontierSize, telemetry.ModePush, injected, prev)
 		}
-		if tr != nil {
-			addr.SwapFrontiers()
-		}
-	}
-	return res, nil
+		atomic.AddInt64(&res.EdgesProcessed, edges)
+		atomic.AddInt64(&res.LaneRelaxations, relaxes)
+		atomic.AddInt64(&res.ValueWrites, writes)
+	})
+	p.cur, p.next = next, cur
 }

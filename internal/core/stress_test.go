@@ -12,14 +12,12 @@ import (
 )
 
 // TestConcurrentBatchStress drives several batches through the concurrent
-// engines at once — sharing one graph, one reverse graph and one telemetry
-// collector — across GOMAXPROCS 1, 2 and 8. Its job is to give the race
+// engines at once — sharing one graph and one telemetry collector — across GOMAXPROCS 1, 2 and 8. Its job is to give the race
 // detector (verify.sh runs this package under -race) real interleavings to
 // bite on: CAS relaxations, frontier unions, telemetry recording and the
 // BatchResult counter protocol all run concurrently here.
 func TestConcurrentBatchStress(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
-	rev := g.Reverse()
 	col := telemetry.NewCollector()
 
 	// Per-engine reference values, computed once up front (sequentially via
@@ -52,9 +50,6 @@ func TestConcurrentBatchStress(t *testing.T) {
 						opt := Options{
 							Workers:   2 + rep,
 							Telemetry: run.StartBatch(e.Name(), nil, nil),
-						}
-						if e.Name() == GlignIntra.Name() {
-							opt.ReverseGraph = rev
 						}
 						res, err := e.Run(g, batch, opt)
 						if err != nil {

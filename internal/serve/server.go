@@ -85,10 +85,6 @@ type Config struct {
 	// Profile supplies closestHV for the aligned/affinity methods; built on
 	// demand when nil and the method (or AdmissionAffinity) needs it.
 	Profile *align.Profile
-	// DirectionOptimized enables push/pull hybrid iterations in the
-	// query-oblivious engine (requires/builds a profile for its reversed
-	// graph).
-	DirectionOptimized bool
 	// Telemetry, when non-nil, receives per-iteration engine records for
 	// every batch plus the serving section (Collector.ObserveServing).
 	Telemetry *telemetry.Collector
@@ -266,8 +262,7 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: unknown admission policy %q", cfg.AdmissionPolicy)
 	}
 	prof := cfg.Profile
-	if prof == nil && (systems.NeedsProfile(cfg.Method) || cfg.DirectionOptimized ||
-		cfg.AdmissionPolicy == AdmissionAffinity) {
+	if prof == nil && (systems.NeedsProfile(cfg.Method) || cfg.AdmissionPolicy == AdmissionAffinity) {
 		prof = align.NewProfile(g, align.DefaultHubCount, cfg.Workers)
 	}
 	run := cfg.Telemetry.StartRun("serve:"+cfg.Method, "")
@@ -511,6 +506,7 @@ func (s *Server) Close() error {
 func (s *Server) batchLoop() {
 	defer s.wg.Done()
 	defer close(s.batches)
+	batchSize := s.cfg.BatchSize // immutable after NewServer
 	var timer Timer
 	var timerC <-chan time.Time
 	stopTimer := func() {
@@ -532,12 +528,12 @@ func (s *Server) batchLoop() {
 			var take []*slot
 			var trig flushTrigger
 			switch {
-			case len(s.queue) >= s.cfg.BatchSize:
-				if s.affinityRank && len(s.queue) > s.cfg.BatchSize {
+			case len(s.queue) >= batchSize:
+				if s.affinityRank && len(s.queue) > batchSize {
 					s.rankPendingLocked()
 				}
-				take = append([]*slot(nil), s.queue[:s.cfg.BatchSize]...)
-				s.queue = append(s.queue[:0], s.queue[s.cfg.BatchSize:]...)
+				take = append([]*slot(nil), s.queue[:batchSize]...)
+				s.queue = append(s.queue[:0], s.queue[batchSize:]...)
 				trig = flushSize
 			case (s.closed || fired) && len(s.queue) > 0:
 				take = s.queue
@@ -662,9 +658,6 @@ func (s *Server) runBatch(fb *formedBatch) {
 	if s.plan.Aligned && !queries.AnyConvergent(qs) {
 		// Convergence batches have no frontier for delayed start to align.
 		opt.Alignment = s.prof.AlignmentVector(qs)
-	}
-	if s.cfg.DirectionOptimized && s.prof != nil && s.plan.Engine.Name() == core.GlignIntra.Name() {
-		opt.ReverseGraph = s.prof.Rev
 	}
 	epoch := s.epoch.Load()
 	bt := s.run.StartBatch(s.plan.Engine.Name(), seqs, opt.Alignment)

@@ -60,11 +60,6 @@ type Config struct {
 	// Result.Values can read each query's results (memory-heavy: about
 	// n*|buffer| float64s).
 	KeepValues bool
-	// DirectionOptimized enables push/pull hybrid iterations in the
-	// query-oblivious engine (an extension beyond the paper; requires a
-	// profile, whose reversed graph is reused). Ignored by other engines
-	// and by traced runs.
-	DirectionOptimized bool
 	// Telemetry, when non-nil, collects per-iteration engine records and
 	// scheduler decisions for this run (see internal/telemetry). Nil
 	// disables collection at near-zero cost.
@@ -186,7 +181,7 @@ func Run(method string, g *graph.Graph, buffer []queries.Query, cfg Config) (*Re
 		cfg.BatchSize = 64
 	}
 	prof := cfg.Profile
-	if prof == nil && (NeedsProfile(method) || cfg.DirectionOptimized) {
+	if prof == nil && NeedsProfile(method) {
 		prof = align.NewProfile(g, align.DefaultHubCount, cfg.Workers)
 	}
 	// The run trace must exist before planFor so the batching policies can
@@ -212,9 +207,6 @@ func Run(method string, g *graph.Graph, buffer []queries.Query, cfg Config) (*Re
 	for bi, idx := range res.Batches {
 		batch := sched.Select(buffer, idx)
 		opt := core.Options{Workers: cfg.Workers, Pool: cfg.Pool, Tracer: cfg.Tracer}
-		if cfg.DirectionOptimized && plan.engine.Name() == core.GlignIntra.Name() {
-			opt.ReverseGraph = prof.Rev
-		}
 		if plan.aligned && !queries.AnyConvergent(batch) {
 			// Delayed start schedules frontier arrivals; convergence batches
 			// have no frontier, so their alignment vector stays nil.

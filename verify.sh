@@ -101,10 +101,13 @@ fi
 echo "== go test -race (concurrent packages) =="
 # Every package with worker-pool or CAS concurrency, including the
 # internal/core stress test (concurrent batches x GOMAXPROCS 1/2/8), the
-# Jacobi convergence evaluators (internal/core, internal/engine,
-# internal/queries), and the live serving loop's deterministic-clock suite
-# (internal/serve, now including the convergence/KHop e2e).
+# comparator engines (GraphM's partition workers on the shared iteration
+# driver, Congra's per-query goroutines), the Jacobi convergence evaluators
+# (internal/core, internal/engine, internal/queries), and the live serving
+# loop's deterministic-clock suite (internal/serve, now including the
+# convergence/KHop e2e).
 go test -race \
+    ./internal/baselines/ \
     ./internal/core/ \
     ./internal/engine/ \
     ./internal/frontier/ \
