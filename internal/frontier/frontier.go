@@ -125,27 +125,27 @@ func (s *Subset) UnionWith(o *Subset) {
 	s.sparseOK = false
 }
 
-// UnionOf builds the union of parts (which must share one universe) with one
-// word-level pass: 64 membership bits OR-combine per operation, and the
-// member count falls out of bits.OnesCount64 on the way — no per-vertex CAS.
-// This is how the two-level engine derives its unified frontier from the B
-// separate lane frontiers after each iteration's relaxations have quiesced;
-// at B=16 it replaces up to 16 AddSync CAS loops per improved vertex with
-// one word read per lane per 64 vertices. The word scan runs on the pool
-// (disjoint word blocks, chunk-ordered integer reduction — deterministic).
+// UnionOf overwrites s with the union of parts (which must share s's
+// universe) in one word-level pass: 64 membership bits OR-combine per
+// operation, and the member count falls out of bits.OnesCount64 on the way —
+// no per-vertex CAS, and no Clear beforehand. This is how the two-level
+// engine derives its unified frontier from the B separate lane frontiers
+// after each iteration's relaxations have quiesced; at B=16 it replaces up
+// to 16 AddSync CAS loops per improved vertex with one word read per lane
+// per 64 vertices. The word scan runs on the pool (disjoint word blocks,
+// chunk-ordered integer reduction — deterministic).
 //
-//lint:ignore glignlint/atomicmix the destination is private until return and parts are quiesced by contract; no AddSync can be in flight
-func UnionOf(pool *par.Pool, workers int, parts ...*Subset) *Subset {
+//lint:ignore glignlint/atomicmix s and parts are quiesced by contract: no AddSync can be in flight while the union is rebuilt
+func (s *Subset) UnionOf(pool *par.Pool, workers int, parts ...*Subset) {
 	if len(parts) == 0 {
 		panic("frontier: UnionOf of no subsets")
 	}
-	u := New(parts[0].n)
 	for _, p := range parts {
-		if p.n != u.n {
+		if p.n != s.n {
 			panic("frontier: UnionOf over mismatched universes")
 		}
 	}
-	words := u.words
+	words := s.words
 	total := par.ForReduce(pool, len(words), workers, 0, 0,
 		func(lo, hi int, acc int) int {
 			for wi := lo; wi < hi; wi++ {
@@ -159,8 +159,9 @@ func UnionOf(pool *par.Pool, workers int, parts ...*Subset) *Subset {
 			return acc
 		},
 		func(a, b int) int { return a + b })
-	u.count.Store(int64(total))
-	return u
+	s.count.Store(int64(total))
+	s.sparse = s.sparse[:0]
+	s.sparseOK = false
 }
 
 // OverlapCount returns |s ∩ o| (single-threaded, like UnionWith).

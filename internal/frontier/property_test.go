@@ -268,7 +268,11 @@ func TestUnionOfWordBoundaries(t *testing.T) {
 					}
 				}
 			}
-			u := UnionOf(nil, 2, parts...)
+			// A stale destination: members and a cached sparse view the
+			// union must overwrite.
+			u := FromVertices(n, 0, graph.VertexID(n-1))
+			u.Sparse()
+			u.UnionOf(nil, 2, parts...)
 			ref, count := unionOfReference(parts...)
 			if u.Count() != count {
 				t.Fatalf("n=%d lanes=%d: UnionOf count %d, reference %d", n, lanes, u.Count(), count)
@@ -306,7 +310,8 @@ func TestQuickUnionOfMatchesFold(t *testing.T) {
 		for i := range parts {
 			parts[i], _ = genSubset(rng, n, rng.Intn(n+1))
 		}
-		got := UnionOf(nil, 1+rng.Intn(4), parts...)
+		got := New(n)
+		got.UnionOf(nil, 1+rng.Intn(4), parts...)
 		want := New(n)
 		for _, p := range parts {
 			want.UnionWith(p)
@@ -324,7 +329,8 @@ func TestQuickUnionOfMatchesFold(t *testing.T) {
 		for i := range rev {
 			rev[i] = parts[lanes-1-i]
 		}
-		again := UnionOf(nil, 1, rev...)
+		again := New(n)
+		again.UnionOf(nil, 1, rev...)
 		if again.Count() != got.Count() {
 			return false
 		}
