@@ -99,10 +99,16 @@ func BenchmarkSingleQuerySSSP(b *testing.B) {
 
 func benchBatchEngine(b *testing.B, e core.Engine) {
 	g, batch := benchGraph()
+	benchBatches(b, e, g, [][]queries.Query{batch}, core.Options{})
+}
+
+// benchBatches runs e over batches round-robin, one batch per iteration,
+// and reports lane relaxations per second next to ns/op.
+func benchBatches(b *testing.B, e core.Engine, g *graph.Graph, batches [][]queries.Query, opt core.Options) {
 	b.ResetTimer()
 	var relaxes int64
 	for i := 0; i < b.N; i++ {
-		res, err := e.Run(g, batch, core.Options{})
+		res, err := e.Run(g, batches[i%len(batches)], opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,6 +120,26 @@ func benchBatchEngine(b *testing.B, e core.Engine) {
 func BenchmarkBatchLigraC(b *testing.B)     { benchBatchEngine(b, core.LigraC) }
 func BenchmarkBatchKrill(b *testing.B)      { benchBatchEngine(b, core.Krill) }
 func BenchmarkBatchGlignIntra(b *testing.B) { benchBatchEngine(b, core.GlignIntra) }
+
+// BenchmarkBatchGlignIntraHeter64 runs a 64-query Heter batch (BFS, SSSP,
+// SSWP and SSNP: four lane groups per active vertex) through Glign-Intra.
+func BenchmarkBatchGlignIntraHeter64(b *testing.B) {
+	g := graph.MustGenerate(graph.LJ, graph.Small)
+	batch := workload.Heter(workload.Sources(g, profileFor(g), 64, 3), 3)
+	benchBatches(b, core.GlignIntra, g, [][]queries.Query{batch}, core.Options{})
+}
+
+// BenchmarkBatchGlignIntraSingleW2 runs single-query batches at workers=2,
+// the serving shape: one lane per vertex, so per-call overhead in the edge
+// loop is not amortized over a block.
+func BenchmarkBatchGlignIntraSingleW2(b *testing.B) {
+	g, batch := benchGraph()
+	batches := make([][]queries.Query, len(batch))
+	for i, q := range batch {
+		batches[i] = []queries.Query{q}
+	}
+	benchBatches(b, core.GlignIntra, g, batches, core.Options{Workers: 2})
+}
 
 // Telemetry overhead guard: the same Glign-Intra batch with telemetry
 // absent (the nil fast path every production run without -metrics-out

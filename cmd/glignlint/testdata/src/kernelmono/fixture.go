@@ -205,3 +205,42 @@ type stray struct{}
 func (stray) Identity() Value                  { return 0 }
 func (stray) Relax(src Value, w float64) Value { return src + w }
 func (stray) Better(a, b Value) bool           { return a < b }
+
+// relaxLanesSSSP mirrors the real block kernel: it reads the bit array once
+// and CASes every listed lane of the block at base (approved helper: true
+// negative for the bits confinement tier).
+func (v *Values) relaxLanesSSSP(base int, lanes []int32, src []Value, w float64) int {
+	bits, improved := v.bits, 0
+	for _, li := range lanes {
+		addr, cand := &bits[base+int(li)], uint64(src[li]+w)
+		for {
+			old := atomic.LoadUint64(addr)
+			if old <= cand {
+				break
+			}
+			if atomic.CompareAndSwapUint64(addr, old, cand) {
+				improved++
+				break
+			}
+		}
+	}
+	return improved
+}
+
+// blocky is a convergence kernel (so it is classified) whose Relax installs
+// values through a block kernel: true positive for the Values-mutation tier.
+type blocky struct{ vals *Values }
+
+func (b blocky) Identity() Value { return 0 }
+
+func (b blocky) Relax(src Value, w float64) Value {
+	b.vals.relaxLanesSSSP(0, []int32{0}, []Value{src}, w) // true positive: block kernel mutation
+	return src + w
+}
+
+func (blocky) Better(a, c Value) bool                  { return a < c }
+func (blocky) InitialValue(n, v int) Value             { return Value(v) }
+func (blocky) Step(n int, self Value, _ []Value) Value { return self }
+func (blocky) Residual(old, next Value) float64        { return next - old }
+func (blocky) Epsilon() float64                        { return 0.5 }
+func (blocky) MaxRounds() int                          { return 8 }

@@ -112,7 +112,7 @@ func (p *graphMPolicy) Step() {
 	// Materialize sparse views up front: the partition workers below only
 	// read them. Each materialization scans the query's frontier bitmap.
 	for i, s := range sep {
-		active[i] = s.Sparse()
+		active[i] = s.Sparse(p.t.Pool, p.t.Workers)
 		if tr != nil {
 			core.TraceRegionScan(tr, addr.SepCurBase(i), s.WordsBytes())
 		}

@@ -76,7 +76,7 @@ func (p *krillPolicy) Step() {
 	union, nextUnion, qm, nextQM := p.union, p.nextUnion, p.qm, p.nextQM
 	nextUnion.Clear()
 	nextQM.Clear()
-	active := union.Sparse()
+	active := union.Sparse(p.t.Pool, p.t.Workers)
 	if tr != nil {
 		TraceRegionScan(tr, addr.unionCur, int64(len(union.Words()))*8)
 	}

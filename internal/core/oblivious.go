@@ -28,9 +28,10 @@ func (oblivious) Name() string { return "Glign-Intra" }
 
 // laneGroup is a run of batch lanes sharing one kernel kind, so the edge
 // loop can run one fused (devirtualized) relaxation loop per group. A
-// homogeneous batch — the common case — has a single group.
+// homogeneous batch — the common case — has a single group. relax is the
+// kind's block kernel, nil for OpCustom lanes (see relaxCustom).
 type laneGroup struct {
-	kind  queries.OpKind
+	relax queries.LaneRelaxer
 	lanes []int32
 }
 
@@ -59,16 +60,15 @@ func newObliviousScratch(b int) *obliviousScratch {
 	return s
 }
 
-// collect snapshots the source values of vertex v and groups its
+// collect snapshots the lane block of the vertex at base and groups its
 // non-identity lanes by kernel kind. It returns the number of active lanes.
 func (s *obliviousScratch) collect(st *BatchSetup, kinds []queries.OpKind, base int) int {
 	for i := range s.byKind {
 		s.byKind[i] = s.byKind[i][:0]
 	}
+	st.Vals.LoadBlock(base, s.srcVals)
 	total := 0
-	for i := 0; i < st.B; i++ {
-		sv := st.Vals.Get(base + st.LaneOff[i])
-		s.srcVals[i] = sv
+	for i, sv := range s.srcVals {
 		if sv != st.Identity[i] {
 			k := kinds[i]
 			s.byKind[k] = append(s.byKind[k], int32(i))
@@ -78,66 +78,22 @@ func (s *obliviousScratch) collect(st *BatchSetup, kinds []queries.OpKind, base 
 	s.groups = s.groups[:0]
 	for k := range s.byKind {
 		if len(s.byKind[k]) > 0 {
-			s.groups = append(s.groups, laneGroup{queries.OpKind(k), s.byKind[k]})
+			s.groups = append(s.groups, laneGroup{queries.LaneRelaxerOf(queries.OpKind(k)), s.byKind[k]})
 		}
 	}
 	return total
 }
 
-// relaxGroup runs one fused relaxation loop for a lane group against
-// destination block dbase; it returns how many lanes improved (installed a
-// better value).
-func relaxGroup(st *BatchSetup, s *obliviousScratch, grp laneGroup, dbase int, w graph.Weight) int {
+// relaxCustom relaxes a group of user-defined (OpCustom) lanes against the
+// destination block at dbase through Kernel.Relax/Better dispatch; it
+// returns how many lanes improved. Built-in kinds never reach it: their
+// block kernels live in queries.
+func relaxCustom(st *BatchSetup, src []queries.Value, lanes []int32, dbase int, w graph.Weight) int {
 	improved := 0
-	switch grp.kind {
-	case queries.OpBFS:
-		for _, li := range grp.lanes {
-			if st.Vals.ImproveMin(dbase+st.LaneOff[li], s.srcVals[li]+1) {
-				improved++
-			}
-		}
-	case queries.OpSSSP:
-		wv := queries.Value(w)
-		for _, li := range grp.lanes {
-			if st.Vals.ImproveMin(dbase+st.LaneOff[li], s.srcVals[li]+wv) {
-				improved++
-			}
-		}
-	case queries.OpSSWP:
-		wv := queries.Value(w)
-		for _, li := range grp.lanes {
-			cand := wv
-			if s.srcVals[li] < cand {
-				cand = s.srcVals[li]
-			}
-			if st.Vals.ImproveMax(dbase+st.LaneOff[li], cand) {
-				improved++
-			}
-		}
-	case queries.OpSSNP:
-		wv := queries.Value(w)
-		for _, li := range grp.lanes {
-			cand := wv
-			if s.srcVals[li] > cand {
-				cand = s.srcVals[li]
-			}
-			if st.Vals.ImproveMin(dbase+st.LaneOff[li], cand) {
-				improved++
-			}
-		}
-	case queries.OpViterbi:
-		wv := queries.Value(w)
-		for _, li := range grp.lanes {
-			if st.Vals.ImproveMax(dbase+st.LaneOff[li], s.srcVals[li]/wv) {
-				improved++
-			}
-		}
-	default:
-		for _, li := range grp.lanes {
-			i := int(li)
-			if st.Vals.Improve(dbase+st.LaneOff[i], st.Kernels[i].Relax(s.srcVals[i], w), st.Kernels[i].Better) {
-				improved++
-			}
+	for _, li := range lanes {
+		k := st.Kernels[li]
+		if st.Vals.Improve(dbase+int(li), k.Relax(src[li], w), k.Better) {
+			improved++
 		}
 	}
 	return improved
@@ -152,7 +108,10 @@ func (oblivious) Run(g *graph.Graph, batch []queries.Query, opt Options) (*Batch
 	}
 	// The push loop reads and relaxes every lane of a vertex together, so
 	// the paper's vertex-major ValArray[v*B+i] serves it one contiguous block
-	// per vertex instead of B cells a lane segment apart.
+	// per vertex instead of B cells a lane segment apart. Glign-Intra always
+	// runs interleaved (a tracer forces interleaved too), so VStride == B and
+	// LaneOff[i] == i: the edge loop and the block kernels index lane li of
+	// vertex v as v*B+li directly. TestEngineLayoutResolution pins this.
 	return RunFrontier(g, batch, opt, LayoutInterleaved, LayoutUnionOnly, newObliviousPolicy)
 }
 
@@ -191,19 +150,21 @@ func (p *obliviousPolicy) FrontierSize() int { return p.cur.Count() }
 
 func (p *obliviousPolicy) Step() {
 	g, st, res, kinds, scratches := p.t.G, p.t.St, p.t.Res, p.t.Kinds, p.scratches
-	tr, addr, b := p.t.Tracer, p.t.Addr, p.t.St.B
+	// Interleaved layout (see Run): vertex v's lane block starts at v*b.
+	tr, addr, b, vals := p.t.Tracer, p.t.Addr, p.t.St.B, p.t.St.Vals
 	cur, next := p.cur, p.next
 	next.Clear()
-	active := cur.Sparse()
+	active := cur.Sparse(p.t.Pool, p.t.Workers)
 	if tr != nil {
 		TraceRegionScan(tr, addr.unionCur, int64(len(cur.Words()))*8)
 	}
 	p.t.Pool.ForSlot(len(active), p.t.Workers, 0, func(lo, hi, slot int) {
 		scratch := scratches[slot]
+		src := scratch.srcVals
 		var edges, relaxes, writes int64
 		for ai := lo; ai < hi; ai++ {
 			v := active[ai]
-			base := int(v) * st.VStride
+			base := int(v) * b
 			// Snapshot the source values once per vertex and group the
 			// non-identity lanes by kernel kind. The interleaved layout
 			// reads the contiguous block ValArray[v*B..v*B+B) — the
@@ -223,11 +184,15 @@ func (p *obliviousPolicy) Step() {
 				if ws != nil {
 					w = ws[j]
 				}
-				dbase := int(d) * st.VStride
+				dbase := int(d) * b
 				relaxes += int64(activeLanes)
 				improved := 0
 				for _, grp := range scratch.groups {
-					improved += relaxGroup(st, scratch, grp, dbase, w)
+					if grp.relax != nil {
+						improved += grp.relax(vals, dbase, grp.lanes, src, w)
+					} else {
+						improved += relaxCustom(st, src, grp.lanes, dbase, w)
+					}
 				}
 				if tr != nil {
 					eo := int64(g.Offsets[v]) + int64(j)

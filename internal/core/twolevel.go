@@ -76,7 +76,7 @@ func (p *twoLevelPolicy) Step() {
 	for _, s := range nextSep {
 		s.Clear()
 	}
-	active := union.Sparse()
+	active := union.Sparse(p.t.Pool, p.t.Workers)
 	if tr != nil {
 		TraceRegionScan(tr, addr.unionCur, int64(len(union.Words()))*8)
 	}

@@ -130,11 +130,12 @@ func Run(g *graph.Graph, q queries.Query, opt Options) *Result {
 	// stays nil while RecordFrontiers is on: the recorded history owns every
 	// retired frontier and must not be overwritten.
 	var scratch *frontier.Subset
-	for iter := 0; !cur.IsEmpty(); iter++ {
-		if opt.MaxIterations > 0 && iter >= opt.MaxIterations {
+	for iter := 0; ; iter++ {
+		// Count popcounts the bitmap, so it is read once per iteration.
+		frontierSize := cur.Count()
+		if frontierSize == 0 || (opt.MaxIterations > 0 && iter >= opt.MaxIterations) {
 			break
 		}
-		frontierSize := cur.Count()
 		res.FrontierSizes = append(res.FrontierSizes, frontierSize)
 		if opt.RecordFrontiers {
 			res.Frontiers = append(res.Frontiers, cur)
@@ -151,7 +152,7 @@ func Run(g *graph.Graph, q queries.Query, opt Options) *Result {
 		} else {
 			next.Clear()
 		}
-		active := cur.Sparse()
+		active := cur.Sparse(pool, workers)
 		if tr != nil {
 			// Materializing the sparse view scans the frontier bitmap.
 			traceScan(tr, addr.curFront, int64(len(cur.Words()))*8)

@@ -45,11 +45,13 @@ func RunPull(g, rev *graph.Graph, q queries.Query, opt Options) *Result {
 	res.Frontiers = make([]*frontier.Subset, 0, iterHint)
 
 	var scratch *frontier.Subset
-	for iter := 0; !cur.IsEmpty(); iter++ {
-		if opt.MaxIterations > 0 && iter >= opt.MaxIterations {
+	for iter := 0; ; iter++ {
+		// Count popcounts the bitmap, so it is read once per iteration.
+		frontierSize := cur.Count()
+		if frontierSize == 0 || (opt.MaxIterations > 0 && iter >= opt.MaxIterations) {
 			break
 		}
-		res.FrontierSizes = append(res.FrontierSizes, cur.Count())
+		res.FrontierSizes = append(res.FrontierSizes, frontierSize)
 		if opt.RecordFrontiers {
 			res.Frontiers = append(res.Frontiers, cur)
 		}

@@ -13,7 +13,6 @@ import (
 type Subset struct {
 	n     int
 	words []uint64
-	count atomic.Int64
 
 	// sparse caches the materialized vertex list; it is invalidated by any
 	// mutation. Only valid when sparseOK.
@@ -55,13 +54,14 @@ func (s *Subset) Add(v graph.VertexID) bool {
 		return false
 	}
 	s.words[w] |= b
-	s.count.Add(1)
 	s.sparseOK = false
 	return true
 }
 
 // AddSync inserts v with a CAS loop, safe for concurrent use. It reports
-// whether v was newly inserted (exactly one concurrent caller wins).
+// whether v was newly inserted (exactly one concurrent caller wins). The
+// CAS on v's bitmap word is the only shared write: no member counter is
+// kept, so concurrent inserters of distinct words never contend.
 func (s *Subset) AddSync(v graph.VertexID) bool {
 	w, b := v>>6, uint64(1)<<(v&63)
 	addr := &s.words[w]
@@ -71,7 +71,6 @@ func (s *Subset) AddSync(v graph.VertexID) bool {
 			return false
 		}
 		if atomic.CompareAndSwapUint64(addr, old, old|b) {
-			s.count.Add(1)
 			return true
 		}
 	}
@@ -84,11 +83,27 @@ func (s *Subset) Contains(v graph.VertexID) bool {
 	return atomic.LoadUint64(&s.words[v>>6])&(uint64(1)<<(v&63)) != 0
 }
 
-// Count returns the number of vertices in the subset.
-func (s *Subset) Count() int { return int(s.count.Load()) }
+// Count returns the number of vertices in the subset: a popcount of the
+// bitmap words, read with atomic loads. It costs one pass over the bitmap,
+// so a caller that needs the count twice keeps it in a local.
+func (s *Subset) Count() int {
+	total := 0
+	for i := range s.words {
+		total += bits.OnesCount64(atomic.LoadUint64(&s.words[i]))
+	}
+	return total
+}
 
-// IsEmpty reports whether the subset is empty.
-func (s *Subset) IsEmpty() bool { return s.Count() == 0 }
+// IsEmpty reports whether the subset is empty; it stops at the first
+// non-zero word.
+func (s *Subset) IsEmpty() bool {
+	for i := range s.words {
+		if atomic.LoadUint64(&s.words[i]) != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // Clear removes all vertices, retaining capacity. Callers quiesce first.
 //
@@ -97,7 +112,6 @@ func (s *Subset) Clear() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
-	s.count.Store(0)
 	s.sparse = s.sparse[:0]
 	s.sparseOK = false
 }
@@ -108,7 +122,6 @@ func (s *Subset) Clear() {
 func (s *Subset) Clone() *Subset {
 	c := New(s.n)
 	copy(c.words, s.words)
-	c.count.Store(s.count.Load())
 	return c
 }
 
@@ -116,24 +129,20 @@ func (s *Subset) Clone() *Subset {
 //
 //lint:ignore glignlint/atomicmix single-threaded merge between iterations; atomic word ops would halve throughput for no soundness gain
 func (s *Subset) UnionWith(o *Subset) {
-	total := 0
 	for i := range s.words {
 		s.words[i] |= o.words[i]
-		total += bits.OnesCount64(s.words[i])
 	}
-	s.count.Store(int64(total))
 	s.sparseOK = false
 }
 
 // UnionOf overwrites s with the union of parts (which must share s's
 // universe) in one word-level pass: 64 membership bits OR-combine per
-// operation, and the member count falls out of bits.OnesCount64 on the way —
-// no per-vertex CAS, and no Clear beforehand. This is how the two-level
-// engine derives its unified frontier from the B separate lane frontiers
-// after each iteration's relaxations have quiesced; at B=16 it replaces up
-// to 16 AddSync CAS loops per improved vertex with one word read per lane
-// per 64 vertices. The word scan runs on the pool (disjoint word blocks,
-// chunk-ordered integer reduction — deterministic).
+// operation — no per-vertex CAS, and no Clear beforehand. This is how the
+// two-level engine derives its unified frontier from the B separate lane
+// frontiers after each iteration's relaxations have quiesced; at B=16 it
+// replaces up to 16 AddSync CAS loops per improved vertex with one word read
+// per lane per 64 vertices. The word scan runs on the pool over disjoint
+// word blocks.
 //
 //lint:ignore glignlint/atomicmix s and parts are quiesced by contract: no AddSync can be in flight while the union is rebuilt
 func (s *Subset) UnionOf(pool *par.Pool, workers int, parts ...*Subset) {
@@ -146,20 +155,15 @@ func (s *Subset) UnionOf(pool *par.Pool, workers int, parts ...*Subset) {
 		}
 	}
 	words := s.words
-	total := par.ForReduce(pool, len(words), workers, 0, 0,
-		func(lo, hi int, acc int) int {
-			for wi := lo; wi < hi; wi++ {
-				var w uint64
-				for _, p := range parts {
-					w |= p.words[wi]
-				}
-				words[wi] = w
-				acc += bits.OnesCount64(w)
+	par.OrDefault(pool).For(len(words), workers, 0, func(lo, hi int) {
+		for wi := lo; wi < hi; wi++ {
+			var w uint64
+			for _, p := range parts {
+				w |= p.words[wi]
 			}
-			return acc
-		},
-		func(a, b int) int { return a + b })
-	s.count.Store(int64(total))
+			words[wi] = w
+		}
+	})
 	s.sparse = s.sparse[:0]
 	s.sparseOK = false
 }
@@ -194,18 +198,20 @@ const sparseBlockWords = 256
 // Sparse returns the sorted list of member vertices, materializing and
 // caching it on first use. The returned slice must not be modified. Not safe
 // to call concurrently with mutation. Large dense frontiers materialize in
-// parallel on the shared pool (count/prefix/fill over bitmap blocks); the
-// result is identical to the serial walk.
+// parallel on pool (nil means par.Default) with the caller's workers bound
+// (count/prefix/fill over bitmap blocks); workers == 1 always walks
+// serially. The result is identical to the serial walk.
 //
 //lint:ignore glignlint/atomicmix materialization happens between iterations by contract; the bitmap is quiesced
-func (s *Subset) Sparse() []graph.VertexID {
+func (s *Subset) Sparse(pool *par.Pool, workers int) []graph.VertexID {
 	if s.sparseOK {
 		return s.sparse
 	}
-	if len(s.words) >= sparseParWords && s.Count() >= sparseParCount {
+	if workers != 1 && len(s.words) >= sparseParWords && s.Count() >= sparseParCount {
+		pool = par.OrDefault(pool)
 		nb := (len(s.words) + sparseBlockWords - 1) / sparseBlockWords
 		offsets := make([]int, nb+1)
-		par.For(nb, 0, 1, func(lo, hi int) {
+		pool.For(nb, workers, 1, func(lo, hi int) {
 			for bi := lo; bi < hi; bi++ {
 				wlo := bi * sparseBlockWords
 				whi := wlo + sparseBlockWords
@@ -229,7 +235,7 @@ func (s *Subset) Sparse() []graph.VertexID {
 			s.sparse = s.sparse[:total]
 		}
 		out := s.sparse
-		par.For(nb, 0, 1, func(lo, hi int) {
+		pool.For(nb, workers, 1, func(lo, hi int) {
 			for bi := lo; bi < hi; bi++ {
 				wlo := bi * sparseBlockWords
 				whi := wlo + sparseBlockWords
@@ -263,9 +269,10 @@ func (s *Subset) Sparse() []graph.VertexID {
 	return s.sparse
 }
 
-// ForEach invokes fn for each member vertex in increasing order.
+// ForEach invokes fn for each member vertex in increasing order (a serial
+// walk).
 func (s *Subset) ForEach(fn func(v graph.VertexID)) {
-	for _, v := range s.Sparse() {
+	for _, v := range s.Sparse(nil, 1) {
 		fn(v)
 	}
 }

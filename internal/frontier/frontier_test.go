@@ -32,7 +32,7 @@ func TestAddContainsCount(t *testing.T) {
 
 func TestSparseSortedAndCached(t *testing.T) {
 	s := FromVertices(100, 17, 3, 99, 64, 63)
-	sp := s.Sparse()
+	sp := s.Sparse(nil, 0)
 	want := []graph.VertexID{3, 17, 63, 64, 99}
 	if len(sp) != len(want) {
 		t.Fatalf("sparse = %v", sp)
@@ -44,7 +44,7 @@ func TestSparseSortedAndCached(t *testing.T) {
 	}
 	// Cache invalidation on mutation.
 	s.Add(50)
-	sp = s.Sparse()
+	sp = s.Sparse(nil, 0)
 	if len(sp) != 6 || sp[2] != 50 {
 		t.Fatalf("sparse after Add = %v", sp)
 	}
@@ -53,6 +53,29 @@ func TestSparseSortedAndCached(t *testing.T) {
 func TestAddSyncConcurrent(t *testing.T) {
 	const n = 1 << 14
 	s := New(n)
+	// A reader polls Count and IsEmpty while the writers insert: both are
+	// atomic word loads, so -race must stay quiet and the count can only
+	// grow.
+	done := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		last := 0
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			c := s.Count()
+			if c < last || (c > 0 && s.IsEmpty()) {
+				t.Errorf("concurrent Count went %d -> %d (IsEmpty %v)", last, c, s.IsEmpty())
+				return
+			}
+			last = c
+		}
+	}()
 	var wg sync.WaitGroup
 	var winners [n]int32
 	for w := 0; w < 8; w++ {
@@ -71,6 +94,8 @@ func TestAddSyncConcurrent(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
+	close(done)
+	reader.Wait()
 	total := 0
 	for v := 0; v < n; v++ {
 		if winners[v] > 1 {
@@ -140,7 +165,7 @@ func TestQuickSubsetMatchesMap(t *testing.T) {
 		if s.Count() != len(ref) {
 			return false
 		}
-		for _, v := range s.Sparse() {
+		for _, v := range s.Sparse(nil, 0) {
 			if !ref[v] {
 				return false
 			}

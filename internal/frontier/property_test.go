@@ -42,7 +42,7 @@ func TestQuickSparseDenseRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 64 + rng.Intn(1<<12)
 		s, ref := genSubset(rng, n, rng.Intn(2*n))
-		sp := s.Sparse()
+		sp := s.Sparse(nil, 0)
 		if len(sp) != len(ref) || s.Count() != len(ref) {
 			return false
 		}
@@ -117,7 +117,7 @@ func TestSparseParallelMatchesSerial(t *testing.T) {
 			if s.Count() < sparseParCount {
 				t.Fatalf("shape %s produced %d members, below the parallel gate", name, s.Count())
 			}
-			got := s.Sparse()
+			got := s.Sparse(nil, 0)
 			// Serial reconstruction straight from the bitmap.
 			var want []graph.VertexID
 			for wi, w := range s.Words() {
@@ -271,7 +271,7 @@ func TestUnionOfWordBoundaries(t *testing.T) {
 			// A stale destination: members and a cached sparse view the
 			// union must overwrite.
 			u := FromVertices(n, 0, graph.VertexID(n-1))
-			u.Sparse()
+			u.Sparse(nil, 0)
 			u.UnionOf(nil, 2, parts...)
 			ref, count := unionOfReference(parts...)
 			if u.Count() != count {
@@ -291,8 +291,8 @@ func TestUnionOfWordBoundaries(t *testing.T) {
 			}
 			// Sparse materialization agrees with Count (exercises the cached
 			// sparse path after a word-level build).
-			if len(u.Sparse()) != count {
-				t.Fatalf("n=%d lanes=%d: Sparse has %d members, Count says %d", n, lanes, len(u.Sparse()), count)
+			if len(u.Sparse(nil, 0)) != count {
+				t.Fatalf("n=%d lanes=%d: Sparse has %d members, Count says %d", n, lanes, len(u.Sparse(nil, 0)), count)
 			}
 		}
 	}

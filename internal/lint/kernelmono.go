@@ -8,10 +8,13 @@ import (
 
 // valuesApproved are the methods of queries.Values (plus its constructor)
 // allowed to touch the raw bit-pattern array directly. Everything else must
-// relax through the CAS helpers (Improve / ImproveMin / ImproveMax) or the
-// atomic accessors, so the "write if better" protocol — the only thing that
-// makes concurrent lane relaxation sound (paper Theorem 3.2 requires
-// monotone updates) — cannot be bypassed.
+// relax through the CAS helpers (Improve / ImproveMin / ImproveMax and the
+// relaxLanes* block kernels) or the atomic accessors (Get / Set /
+// LoadBlock), so the "write if better" protocol — the only thing that makes
+// concurrent lane relaxation sound (paper Theorem 3.2 requires monotone
+// updates) — cannot be bypassed. The block kernels read the bit array once
+// per call instead of once per lane and still install every value through
+// the shared casMin/casMax loops.
 var valuesApproved = map[string]bool{
 	"NewValues": true,
 	"Len":       true,
@@ -19,6 +22,9 @@ var valuesApproved = map[string]bool{
 	"Set":       true,
 	"Fill":      true,
 	"Improve":   true, "ImproveMin": true, "ImproveMax": true,
+	"LoadBlock":     true,
+	"relaxLanesBFS": true, "relaxLanesSSSP": true, "relaxLanesSSWP": true,
+	"relaxLanesSSNP": true, "relaxLanesViterbi": true,
 	"Snapshot": true,
 	"Bytes":    true,
 }
@@ -28,6 +34,8 @@ var valuesApproved = map[string]bool{
 var valuesMutators = map[string]bool{
 	"Set": true, "Fill": true,
 	"Improve": true, "ImproveMin": true, "ImproveMax": true,
+	"relaxLanesBFS": true, "relaxLanesSSSP": true, "relaxLanesSSWP": true,
+	"relaxLanesSSNP": true, "relaxLanesViterbi": true,
 }
 
 // KernelMono enforces the three kernel invariants of the queries package:

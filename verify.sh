@@ -58,6 +58,12 @@ echo "== go test =="
 # any inter-test state dependence surfaces here instead of in CI roulette.
 go test -shuffle=on ./...
 
+echo "== go benchmarks (one iteration each) =="
+# Run every batch-engine and single-query benchmark once, so a benchmark
+# that fails or panics fails verify (go test -run '^$' skips the tests
+# already run above).
+go test -run '^$' -bench 'BenchmarkBatch|BenchmarkSingleQuery' -benchtime 1x .
+
 echo "== benchmark module =="
 # perfbench/ is a separate Go module (outside ./...) that compiles against
 # the public facade; vet and test it offline so a facade change that breaks
